@@ -16,7 +16,6 @@ from .errors import (
     DimMismatch,
     GridOutOfRange,
     InconsistentPhases,
-    InvalidGroupCount,
     KindMismatch,
     ToolkitError,
 )
@@ -30,7 +29,7 @@ from .experiment import (
     report_as_dict,
     sample_outcomes,
 )
-from .linalg import TOL_NORM, adjoint, inner_product, is_unitary, kron, norm
+from .linalg import TOL_NORM, kron
 from .measurement import (
     BOUNDARY_TOL,
     FEASIBILITY_BOUNDARY,
@@ -48,10 +47,7 @@ from .measurement import (
 )
 from .reduction import (
     GroupingPlan,
-    MinNComparison,
     alt_log_bound_raw,
-    comparison_table,
-    effective_pair,
     grouping_plan,
     min_n_pbr,
 )
@@ -81,11 +77,9 @@ __all__ = [
     "GridOutOfRange",
     "GroupingPlan",
     "InconsistentPhases",
-    "InvalidGroupCount",
     "KindMismatch",
     "MAX_COPIES",
     "MeasurementSolution",
-    "MinNComparison",
     "OutcomeCounts",
     "OutcomeMatrix",
     "OverlapAngle",
@@ -94,23 +88,17 @@ __all__ = [
     "ToolkitError",
     "TOL_NORM",
     "ZERO_DIAGONAL_TOL",
-    "adjoint",
     "alt_log_bound_raw",
     "build_C",
     "build_M",
-    "comparison_table",
     "contradiction_report",
     "cos_beta_closed_form",
     "cos_beta_tan_form",
     "diagonal_residual",
-    "effective_pair",
     "grouping_plan",
-    "inner_product",
-    "is_unitary",
     "kron",
     "make_pair",
     "min_n_pbr",
-    "norm",
     "outcome_matrix",
     "product_state",
     "reduce_pair",

@@ -16,6 +16,7 @@ outcome fired in simulation).
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -172,6 +173,8 @@ def cmd_reduce(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise _UsageError(f"trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise _UsageError(f"seed must be >= 0, got {args.seed}")
     angle = OverlapAngle.from_cos(args.cos_omega)
     sol = solve_measurement(angle)
     effective = angle
@@ -270,13 +273,24 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader of the output went away; there is nobody left to tell
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of the
+        # unwritten buffer cannot raise again on the way out.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -29,10 +29,6 @@ class InconsistentPhases(ToolkitError, ValueError):
     """beta does not solve the zero-diagonal condition, so no unit-modulus phase exists."""
 
 
-class InvalidGroupCount(ToolkitError, ValueError):
-    """Device count must be an even integer >= 2."""
-
-
 class GridOutOfRange(ToolkitError, ValueError):
     """Grid value outside the open interval (0, 1)."""
 

@@ -9,15 +9,9 @@ import numpy as np
 
 from .errors import DimMismatch, KindMismatch
 
-# Default tolerance for normalization and unitarity checks.  All values here
-# are closed-form at dim <= 1024; double precision leaves >= 5 orders of margin.
+# Default tolerance for normalization checks.  All values here are
+# closed-form at dim <= 1024; double precision leaves >= 5 orders of margin.
 TOL_NORM = 1e-10
-
-
-def _require_finite(a: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries")
-    return a
 
 
 def kron(a, b) -> np.ndarray:
@@ -35,35 +29,4 @@ def kron(a, b) -> np.ndarray:
         )
     if a.ndim == 2 and (a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]):
         raise DimMismatch(f"matrices must be square, got {a.shape} and {b.shape}")
-    return _require_finite(np.kron(a, b))
-
-
-def inner_product(u, v) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise DimMismatch(f"vectors must have equal length, got {u.shape} and {v.shape}")
-    return complex(np.vdot(u, v))
-
-
-def adjoint(op) -> np.ndarray:
-    """Hermitian adjoint."""
-    return np.conj(np.asarray(op, dtype=complex)).T
-
-
-def norm(u) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(np.asarray(u, dtype=complex)))
-
-
-def is_unitary(op, tol: float = TOL_NORM) -> tuple[bool, float]:
-    """Check U^dag U = I; returns (ok, residual) with residual = max |U^dag U - I|."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise DimMismatch(f"operator must be a square matrix, got shape {op.shape}")
-    _require_finite(op)
-    residual = float(np.abs(adjoint(op) @ op - np.eye(op.shape[0])).max())
-    return residual <= tol, residual
+    return np.kron(a, b)

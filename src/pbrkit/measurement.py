@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InconsistentPhases
 from .linalg import kron
-from .states import OverlapAngle, _as_angle, make_pair
+from .states import OverlapAngle, _as_angle
 
 # cos(omega) above sqrt(2)/2 admits no real beta.  The boundary is inclusive
 # within 1e-12, where cos(beta) is clamped onto [-1, 1].
@@ -68,19 +68,15 @@ class OutcomeMatrix:
 def build_C(omega) -> np.ndarray:
     """4x4 preparation operator; column j is joint preparation j.
 
-    Columns are the Kronecker products (psi psi, psi phi, phi psi, phi phi)
-    of the canonical pair, hence unit vectors but mutually non-orthogonal,
-    so C itself is not unitary.
+    C is the tensor square B (x) B of the 2x2 matrix B whose columns are the
+    canonical pair (psi, phi), so its columns are the Kronecker products
+    (psi psi, psi phi, phi psi, phi phi): unit vectors but mutually
+    non-orthogonal, so C itself is not unitary.
     """
-    pair = make_pair(omega)
-    return np.column_stack(
-        [
-            kron(pair.psi, pair.psi),
-            kron(pair.psi, pair.phi),
-            kron(pair.phi, pair.psi),
-            kron(pair.phi, pair.phi),
-        ]
-    )
+    omega = _as_angle(omega)
+    c, s = math.cos(omega.half), math.sin(omega.half)
+    b = np.array([[c, c], [s, -s]], dtype=complex)
+    return kron(b, b)
 
 
 def build_M(alpha: float, beta: float) -> np.ndarray:
@@ -105,8 +101,9 @@ def cos_beta_closed_form(omega) -> float:
 def cos_beta_tan_form(omega) -> float:
     """Equivalent tan-power form (t^-3 - 4 t^-1 - t) / 4 with t = tan(w/2).
 
-    Kept as an independent cross-check path; diverges like t^-3 as w -> 0,
-    so the production path prefers :func:`cos_beta_closed_form`.
+    Kept as the reference the tests compare the closed form against;
+    diverges like t^-3 as w -> 0, so the production path uses
+    :func:`cos_beta_closed_form`.
     """
     t = math.tan(_as_angle(omega).half)
     return 0.25 * (t**-3 - 4.0 / t - t)
@@ -118,15 +115,13 @@ def solve_beta(omega) -> MeasurementSolution:
     Feasibility is decided from cos(omega) against the boundary before any
     formula is evaluated; the raw closed-form cos(beta) is reported either
     way so callers can trace the curve past its +1 crossing.  On the
-    feasible range both closed forms are computed and cross-checked to
-    1e-10, and beta is the principal arccos of the clamped value.
+    feasible range beta is the principal arccos of the clamped value.
     """
     omega = _as_angle(omega)
     feasible = omega.cos <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL
     raw = cos_beta_closed_form(omega)
     beta = None
     if feasible:
-        assert abs(raw - cos_beta_tan_form(omega)) <= 1e-10, "cos(beta) closed forms disagree"
         beta = math.acos(min(1.0, max(-1.0, raw)))
     return MeasurementSolution(omega=omega, beta=beta, alpha=None, feasible=feasible, cos_beta_raw=raw)
 
@@ -160,23 +155,18 @@ def solve_measurement(omega) -> MeasurementSolution:
 
 
 def diagonal_residual(omega, alpha: float, beta: float) -> complex:
-    """Common value of the four diagonal entries of M C.
+    """Common value of the four diagonal entries of M C, in closed form.
 
-    Computes the closed form and asserts that every diagonal entry of the
-    actual matrix product matches it to 1e-12, which catches any index
-    convention slip between the two builders.  The residual is zero (to
-    1e-10) exactly at solved phases.
+    The sign patterns of M and C make all four diagonal entries equal; the
+    residual is zero (to 1e-10) exactly at solved phases.
     """
     omega = _as_angle(omega)
     c, s = math.cos(omega.half), math.sin(omega.half)
-    value = (
+    return (
         0.5 * cmath.exp(1j * alpha) * c * c
         + cmath.exp(1j * beta) * c * s
         + 0.5 * cmath.exp(2j * beta) * s * s
     )
-    diag = np.diag(build_M(alpha, beta) @ build_C(omega))
-    assert np.abs(diag - value).max() <= 1e-12, "M C diagonal disagrees with the closed form"
-    return value
 
 
 def outcome_matrix(omega, alpha: float, beta: float) -> OutcomeMatrix:

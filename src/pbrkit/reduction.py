@@ -12,9 +12,9 @@ the original multipartite-basis route (tan(w/2) >= 2^{1/n} - 1).
 import math
 from dataclasses import dataclass
 
-from .errors import GridOutOfRange, InvalidGroupCount
+from .errors import GridOutOfRange
 from .measurement import BOUNDARY_TOL, FEASIBILITY_BOUNDARY
-from .states import MAX_COPIES, OverlapAngle, SymmetricPair, _as_angle, make_pair, product_state, reduce_pair
+from .states import OverlapAngle, _as_angle
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,6 @@ class GroupingPlan:
     n: int
     group_size: int
     effective_omega: OverlapAngle
-
-
-@dataclass(frozen=True)
-class MinNComparison:
-    """Minimal device counts of both proof routes at one overlap value."""
-
-    cos_omega: float
-    n_pbr: int
-    n_alt: int
 
 
 def _group_condition(cos_omega: float, group_size: int) -> bool:
@@ -78,42 +69,6 @@ def min_n_pbr(omega) -> int:
     while n > 2 and _pbr_condition(t, n - 1):
         n -= 1
     return n
-
-
-def effective_pair(omega, n: int) -> SymmetricPair:
-    """Canonical pair at the group overlap cos^{n/2}(omega).
-
-    For group sizes up to 10 the explicit tensor-product states are also
-    built and reduced, checking that the analytic overlap matches the full
-    inner product to 1e-10.
-    """
-    omega = _as_angle(omega)
-    if n < 2 or n % 2 != 0:
-        raise InvalidGroupCount(f"device count must be an even integer >= 2, got {n}")
-    group_size = n // 2
-    effective = OverlapAngle(math.acos(omega.cos**group_size))
-    pair = make_pair(effective)
-    if group_size <= MAX_COPIES:
-        base = make_pair(omega)
-        grown = reduce_pair(product_state(base.psi, group_size), product_state(base.phi, group_size))
-        assert abs(grown.omega.cos - effective.cos) <= 1e-10, "tensor-product overlap mismatch"
-    return pair
-
-
-def comparison_table(cos_omega_grid) -> list[MinNComparison]:
-    """Minimal device counts of both routes over a grid of cos(omega) values."""
-    values = [float(c) for c in cos_omega_grid]
-    for c in values:
-        if not (0.0 < c < 1.0):
-            raise GridOutOfRange(f"grid values must lie in (0, 1), got {c!r}")
-    return [
-        MinNComparison(
-            cos_omega=c,
-            n_pbr=min_n_pbr(OverlapAngle.from_cos(c)),
-            n_alt=grouping_plan(OverlapAngle.from_cos(c)).n,
-        )
-        for c in values
-    ]
 
 
 def alt_log_bound_raw(cos_omega: float) -> float:

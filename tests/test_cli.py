@@ -1,7 +1,14 @@
-"""End-to-end tests for the command-line interface (in-process)."""
+"""End-to-end tests for the command-line interface.
+
+All run in-process except the broken-pipe test, which needs a real stdout.
+"""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +230,13 @@ def test_simulate_bad_trials(capsys):
     capsys.readouterr()
 
 
+def test_simulate_negative_seed(capsys):
+    assert cli.main(["simulate", "--cos-omega", "0.5", "--seed", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -5\n"
+
+
 def test_simulate_statistical_contradiction_exit(monkeypatch, capsys):
     def fake(p, preparation, trials, seed):
         counts = [0, 0, 0, 0]
@@ -254,3 +268,27 @@ def test_report_json(capsys):
 def test_report_bad_epsilon(capsys):
     assert cli.main(["report", "--cos-omega", "0.5", "--epsilon", "1.5"]) == 1
     assert "epsilon" in capsys.readouterr().err
+
+
+# Unbuffered, the write in main fails; buffered, the flush on the way out does.
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_report_broken_pipe(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pbrkit.cli", "report", "--cos-omega", "0.9", "--epsilon", "0.2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == b""

@@ -8,16 +8,13 @@ import pytest
 from pbrkit import (
     FEASIBILITY_BOUNDARY,
     GridOutOfRange,
-    InvalidGroupCount,
     OverlapAngle,
     alt_log_bound_raw,
-    comparison_table,
-    effective_pair,
     grouping_plan,
-    inner_product,
     make_pair,
     min_n_pbr,
     product_state,
+    reduce_pair,
     solve_beta,
 )
 
@@ -69,57 +66,47 @@ def test_min_n_pbr_minimality():
 
 
 def test_effective_pair_two_devices_is_identity():
-    pair = effective_pair(0.9272952180016122, 2)
-    assert pair.omega.omega == pytest.approx(0.9272952180016122, abs=1e-12)
+    # one device per group leaves the overlap as it is
+    plan = grouping_plan(0.9272952180016122)
+    assert plan.n == 2
+    assert plan.effective_omega.omega == pytest.approx(0.9272952180016122, abs=1e-12)
 
 
 def test_effective_pair_sixteen_dim_case():
-    pair = effective_pair(OverlapAngle.from_cos(0.9), 8)
+    # two groups of four: the 16-dim group states reduce to overlap 0.9^4
+    base = make_pair(OverlapAngle.from_cos(0.9))
+    pair = reduce_pair(product_state(base.psi, 4), product_state(base.phi, 4))
     assert pair.omega.cos == pytest.approx(0.6561, abs=1e-12)
 
 
 def test_effective_pair_explicit_overlap_matches():
     omega = OverlapAngle.from_cos(0.9)
-    pair = effective_pair(omega, 8)
+    plan = grouping_plan(omega)
+    assert plan.n == 8
     base = make_pair(omega)
-    explicit = inner_product(product_state(base.psi, 4), product_state(base.phi, 4))
-    assert abs(explicit - pair.omega.cos) <= 1e-10
+    explicit = np.vdot(product_state(base.psi, 4), product_state(base.phi, 4))
+    assert abs(explicit - plan.effective_omega.cos) <= 1e-10
 
 
 def test_effective_pair_feasible_at_plan_n():
     for c in (0.75, 0.9, 0.97):
-        omega = OverlapAngle.from_cos(c)
-        plan = grouping_plan(omega)
-        pair = effective_pair(omega, plan.n)
-        assert solve_beta(pair.omega).feasible
-
-
-def test_effective_pair_rejects_bad_counts():
-    with pytest.raises(InvalidGroupCount):
-        effective_pair(0.5, 3)
-    with pytest.raises(InvalidGroupCount):
-        effective_pair(0.5, 0)
+        assert solve_beta(grouping_plan(OverlapAngle.from_cos(c)).effective_omega).feasible
 
 
 def test_comparison_table_values():
-    rows = comparison_table([0.3, 0.9])
-    assert (rows[0].n_pbr, rows[0].n_alt) == (2, 2)
-    assert (rows[1].n_pbr, rows[1].n_alt) == (4, 8)
+    # the fig2 device counts (n_pbr, n_alt) at two overlaps
+    for c, counts in ((0.3, (2, 2)), (0.9, (4, 8))):
+        omega = OverlapAngle.from_cos(c)
+        assert (min_n_pbr(omega), grouping_plan(omega).n) == counts
 
 
 def test_comparison_table_dominance():
-    grid = np.linspace(0.01, 0.99, 200)
-    for row in comparison_table(grid):
-        assert row.n_alt >= row.n_pbr
-        if row.cos_omega <= FEASIBILITY_BOUNDARY:
-            assert row.n_pbr == 2 and row.n_alt == 2
-
-
-def test_comparison_table_rejects_bad_grid():
-    with pytest.raises(GridOutOfRange):
-        comparison_table([0.5, 1.0])
-    with pytest.raises(GridOutOfRange):
-        comparison_table([0.0])
+    for c in np.linspace(0.01, 0.99, 200):
+        omega = OverlapAngle.from_cos(float(c))
+        n_pbr, n_alt = min_n_pbr(omega), grouping_plan(omega).n
+        assert n_alt >= n_pbr
+        if c <= FEASIBILITY_BOUNDARY:
+            assert n_pbr == 2 and n_alt == 2
 
 
 def test_alt_log_bound_raw_is_half_the_operative_count():

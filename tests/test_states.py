@@ -11,7 +11,6 @@ from pbrkit import (
     DegeneratePair,
     DimMismatch,
     OverlapAngle,
-    inner_product,
     make_pair,
     product_state,
     reduce_pair,
@@ -61,7 +60,7 @@ def test_make_pair_orthogonal_case():
 
 def test_make_pair_overlap_matches_cos():
     pair = make_pair(math.pi / 3)
-    assert inner_product(pair.psi, pair.phi) == pytest.approx(0.5, abs=1e-15)
+    assert np.vdot(pair.psi, pair.phi) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_make_pair_rejects_zero_angle():
@@ -148,13 +147,13 @@ def test_product_state_overlap_law():
         big_psi = product_state(pair.psi, m)
         big_phi = product_state(pair.phi, m)
         assert big_psi.size == 2**m
-        assert abs(inner_product(big_psi, big_phi) - 0.9**m) <= 1e-12
+        assert abs(np.vdot(big_psi, big_phi) - 0.9**m) <= 1e-12
 
 
 def test_product_state_sixteen_dim_value():
     omega = OverlapAngle.from_cos(0.9)
     pair = make_pair(omega)
-    overlap = inner_product(product_state(pair.psi, 4), product_state(pair.phi, 4))
+    overlap = np.vdot(product_state(pair.psi, 4), product_state(pair.phi, 4))
     assert overlap == pytest.approx(0.6561, abs=1e-12)
 
 
