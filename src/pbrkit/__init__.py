@@ -20,6 +20,7 @@ from .errors import (
     ToolkitError,
 )
 from .experiment import (
+    MAX_TRIALS,
     PROB_FLOOR,
     ZERO_DIAGONAL_TOL,
     ContradictionReport,
@@ -29,7 +30,7 @@ from .experiment import (
     report_as_dict,
     sample_outcomes,
 )
-from .linalg import TOL_NORM, kron
+from .linalg import TOL_NORM, elementwise, kron
 from .measurement import (
     BOUNDARY_TOL,
     FEASIBILITY_BOUNDARY,
@@ -38,18 +39,22 @@ from .measurement import (
     build_C,
     build_M,
     cos_beta_closed_form,
+    cos_beta_raw,
     cos_beta_tan_form,
     diagonal_residual,
     outcome_matrix,
     solve_alpha,
     solve_beta,
     solve_measurement,
+    within_boundary,
 )
 from .reduction import (
     GroupingPlan,
     alt_log_bound_raw,
+    group_sizes,
     grouping_plan,
     min_n_pbr,
+    pbr_counts,
 )
 from .states import (
     DEGENERACY_THRESHOLD,
@@ -79,6 +84,7 @@ __all__ = [
     "InconsistentPhases",
     "KindMismatch",
     "MAX_COPIES",
+    "MAX_TRIALS",
     "MeasurementSolution",
     "OutcomeCounts",
     "OutcomeMatrix",
@@ -93,13 +99,17 @@ __all__ = [
     "build_M",
     "contradiction_report",
     "cos_beta_closed_form",
+    "cos_beta_raw",
     "cos_beta_tan_form",
     "diagonal_residual",
+    "elementwise",
+    "group_sizes",
     "grouping_plan",
     "kron",
     "make_pair",
     "min_n_pbr",
     "outcome_matrix",
+    "pbr_counts",
     "product_state",
     "reduce_pair",
     "render_report",
@@ -108,5 +118,6 @@ __all__ = [
     "solve_alpha",
     "solve_beta",
     "solve_measurement",
+    "within_boundary",
     "__version__",
 ]

@@ -16,16 +16,17 @@ outcome fired in simulation).
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from .errors import DegeneratePair, ToolkitError
-from .experiment import contradiction_report, render_report, report_as_dict, sample_outcomes
-from .linalg import TOL_NORM
-from .measurement import build_C, build_M, outcome_matrix, solve_beta, solve_measurement
-from .reduction import alt_log_bound_raw, grouping_plan, min_n_pbr
+from .experiment import MAX_TRIALS, contradiction_report, render_report, report_as_dict, sample_outcomes
+from .linalg import TOL_NORM, elementwise
+from .measurement import build_C, build_M, cos_beta_raw, outcome_matrix, solve_measurement, within_boundary
+from .reduction import alt_log_bound_raw, group_sizes, grouping_plan, pbr_counts
 from .states import OverlapAngle, reduce_pair
 
 EXIT_OK = 0
@@ -37,6 +38,10 @@ EXIT_CONTRADICTION = 4
 # Norm deviations up to this are repaired by renormalizing (with a warning
 # on stderr); anything larger is rejected as a usage error.
 RENORM_LIMIT = 1e-8
+
+# Figure rows are computed and written this many at a time, so memory does
+# not grow with the resolution beyond the grid itself.
+CSV_BLOCK = 2048
 
 
 class _UsageError(Exception):
@@ -64,11 +69,13 @@ def _figure_grid(resolution: int) -> np.ndarray:
     return np.linspace(0.01, 0.99, resolution)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _write_csv(path: str, header: str, row_format: str, grid: np.ndarray, columns) -> None:
+    """Write the header, then ``row_format`` over ``columns(block)`` for each block of the grid."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        for start in range(0, grid.size, CSV_BLOCK):
+            rows = zip(*(col.tolist() for col in columns(grid[start : start + CSV_BLOCK])))
+            fh.write("".join([row_format % row for row in rows]))
 
 
 def cmd_solve(args) -> int:
@@ -89,25 +96,32 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+# The figure columns take omega = acos(c) and its cosine from libm, element by
+# element, as OverlapAngle.from_cos(c) does: cos(acos(c)) can differ from c in
+# the last bit, and the printed values follow it.
+
+
+def _fig1_columns(grid: np.ndarray):
+    cos_omega = elementwise(math.cos, elementwise(math.acos, grid))
+    return grid, cos_beta_raw(cos_omega), np.where(within_boundary(cos_omega), "true", "false")
+
+
+def _fig2_columns(grid: np.ndarray):
+    omega = elementwise(math.acos, grid)
+    n_pbr = pbr_counts(elementwise(math.tan, omega / 2.0))
+    n_alt = 2 * group_sizes(elementwise(math.cos, omega))
+    return grid, n_pbr, n_alt, alt_log_bound_raw(grid)
+
+
 def cmd_fig1(args) -> int:
-    rows = []
-    for c in _figure_grid(args.resolution):
-        sol = solve_beta(OverlapAngle.from_cos(float(c)))
-        flag = "true" if sol.feasible else "false"
-        rows.append(f"{_g17(c)},{_g17(sol.cos_beta_raw)},{flag}")
-    _write_csv(args.out, "cos_omega,cos_beta,feasible", rows)
+    _write_csv(args.out, "cos_omega,cos_beta,feasible", "%.17g,%.17g,%s\n",
+               _figure_grid(args.resolution), _fig1_columns)
     return EXIT_OK
 
 
 def cmd_fig2(args) -> int:
-    rows = []
-    for c in _figure_grid(args.resolution):
-        c = float(c)
-        angle = OverlapAngle.from_cos(c)
-        rows.append(
-            f"{_g17(c)},{min_n_pbr(angle)},{grouping_plan(angle).n},{_g17(alt_log_bound_raw(c))}"
-        )
-    _write_csv(args.out, "cos_omega,n_pbr,n_alt,n_alt_log_raw", rows)
+    _write_csv(args.out, "cos_omega,n_pbr,n_alt,n_alt_log_raw", "%.17g,%d,%d,%.17g\n",
+               _figure_grid(args.resolution), _fig2_columns)
     return EXIT_OK
 
 
@@ -142,7 +156,7 @@ def _load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_norm(name: str, vec: np.ndarray) -> np.ndarray:
     dev = abs(float(np.linalg.norm(vec)) - 1.0)
-    if dev > RENORM_LIMIT:
+    if not dev <= RENORM_LIMIT:  # NaN fails this too
         raise _UsageError(f"{name} norm deviates by {dev:.3e}, beyond {RENORM_LIMIT:g}")
     if dev > TOL_NORM:
         print(f"warning: renormalizing {name} (norm deviation {dev:.3e})", file=sys.stderr)
@@ -173,6 +187,8 @@ def cmd_reduce(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise _UsageError(f"trials must be >= 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise _UsageError(f"trials must be <= 2**63 - 1, got {args.trials}")
     if args.seed < 0:
         raise _UsageError(f"seed must be >= 0, got {args.seed}")
     angle = OverlapAngle.from_cos(args.cos_omega)

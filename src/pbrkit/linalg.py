@@ -1,4 +1,4 @@
-"""Dense complex linear algebra at small fixed dimensions.
+"""Dense complex linear algebra at small fixed dimensions, and libm over arrays.
 
 State vectors are 1-d complex ndarrays, operators are square 2-d complex
 ndarrays.  Everything in scope is closed-form at dimension <= 1024, so plain
@@ -30,3 +30,16 @@ def kron(a, b) -> np.ndarray:
     if a.ndim == 2 and (a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]):
         raise DimMismatch(f"matrices must be square, got {a.shape} and {b.shape}")
     return np.kron(a, b)
+
+
+def elementwise(fn, *arrays) -> np.ndarray:
+    """``fn`` (a ``math`` function) applied element by element, as floats.
+
+    The result has the shape of the first array.  numpy's own arccos, cos,
+    tan, log and power can differ from the C library's in the last bit, so
+    array code that must give what the scalar ``math`` call gives, bit for
+    bit, takes its transcendentals from here.
+    """
+    shape = np.shape(arrays[0])
+    values = (np.asarray(a).ravel().tolist() for a in arrays)
+    return np.fromiter(map(fn, *values), float, np.size(arrays[0])).reshape(shape)

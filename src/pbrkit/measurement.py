@@ -92,10 +92,29 @@ def build_M(alpha: float, beta: float) -> np.ndarray:
     return 0.5 * _SIGNS * phases
 
 
+def within_boundary(cos_omega):
+    """The feasibility test cos(omega) <= sqrt(2)/2, inclusive within BOUNDARY_TOL.
+
+    Takes a float or an array of cosines; grouping applies it to the
+    effective overlap cos^m(omega).
+    """
+    return cos_omega <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL
+
+
+def cos_beta_raw(cos_omega):
+    """Unclamped cos(beta) = (c^2 + c - 1) / ((1 - c) sqrt(1 - c^2)) at c = cos(omega).
+
+    Takes a float or an array of cosines.  Only arithmetic and the correctly
+    rounded square root are involved, so each element of an array result
+    equals the value for that element alone.
+    """
+    c = cos_omega
+    return (c * c + c - 1.0) / ((1.0 - c) * np.sqrt(1.0 - c * c))
+
+
 def cos_beta_closed_form(omega) -> float:
-    """Production formula: (cos^2 w + cos w - 1) / ((1 - cos w) sqrt(1 - cos^2 w))."""
-    c = _as_angle(omega).cos
-    return (c * c + c - 1.0) / ((1.0 - c) * math.sqrt(1.0 - c * c))
+    """Production formula: :func:`cos_beta_raw` at cos(omega)."""
+    return float(cos_beta_raw(_as_angle(omega).cos))
 
 
 def cos_beta_tan_form(omega) -> float:
@@ -118,7 +137,7 @@ def solve_beta(omega) -> MeasurementSolution:
     feasible range beta is the principal arccos of the clamped value.
     """
     omega = _as_angle(omega)
-    feasible = omega.cos <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL
+    feasible = within_boundary(omega.cos)
     raw = cos_beta_closed_form(omega)
     beta = None
     if feasible:

@@ -11,10 +11,21 @@ the original multipartite-basis route (tan(w/2) >= 2^{1/n} - 1).
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import GridOutOfRange
-from .measurement import BOUNDARY_TOL, FEASIBILITY_BOUNDARY
+import numpy as np
+
+from .errors import AngleOutOfRange, GridOutOfRange
+from .linalg import elementwise
+from .measurement import BOUNDARY_TOL, FEASIBILITY_BOUNDARY, within_boundary
 from .states import OverlapAngle, _as_angle
+
+# The counts are seeded from logarithmic bounds with the boundary tolerance
+# folded in, so the settle moves a seed by one step at most in practice,
+# even for overlaps a few doubles below 1.
+_LOG_GROUP_BOUND = math.log(FEASIBILITY_BOUNDARY + BOUNDARY_TOL)
+_LOG_2 = math.log(2.0)
+_pow2 = partial(math.pow, 2.0)
 
 
 @dataclass(frozen=True)
@@ -27,59 +38,95 @@ class GroupingPlan:
     effective_omega: OverlapAngle
 
 
-def _group_condition(cos_omega: float, group_size: int) -> bool:
-    return cos_omega**group_size <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL
+def _require_range(values: np.ndarray, ok: np.ndarray, message: str, error) -> None:
+    if not ok.all():
+        raise error(f"{message}, got {float(values[~ok].flat[0])!r}")
+
+
+def _settle(holds, x: np.ndarray, counts: np.ndarray, floor: int) -> np.ndarray:
+    """Smallest counts with ``holds(x, counts)``, settled from a seed by direct substitution.
+
+    Each count steps up while the condition fails at it, then down while it
+    still holds one lower and the count is above ``floor``, so roundoff in
+    the seed cannot shift the answer.  Only the counts still moving are
+    tested again.
+    """
+    i = np.arange(counts.size)
+    while (i := i[~holds(x[i], counts[i])]).size:
+        counts[i] += 1
+    i = np.flatnonzero(counts > floor)
+    while (i := i[holds(x[i], counts[i] - 1)]).size:
+        counts[i] -= 1
+        i = i[counts[i] > floor]
+    return counts
+
+
+def _group_condition(cos_omega: np.ndarray, group_size: np.ndarray) -> np.ndarray:
+    return within_boundary(elementwise(math.pow, cos_omega, group_size))
+
+
+def group_sizes(cos_omega) -> np.ndarray:
+    """Smallest group size m >= 1 with cos^m(omega) <= sqrt(2)/2, per element.
+
+    ``cos_omega`` is a 1-d array of overlaps in [0, 1).  Within the boundary
+    m is 1; past it m is seeded from the logarithmic bound and then settled
+    by direct powering.  Boundary ties resolve inclusively within 1e-12.
+    """
+    c = np.asarray(cos_omega, dtype=float)
+    _require_range(c, (0.0 <= c) & (c < 1.0), "cos(omega) must lie in [0, 1)", AngleOutOfRange)
+    m = np.ones(c.shape, dtype=np.int64)
+    far = ~within_boundary(c)
+    seed = np.ceil(_LOG_GROUP_BOUND / elementwise(math.log, c[far]) - 1e-9).astype(np.int64)
+    m[far] = _settle(_group_condition, c[far], seed, floor=1)
+    return m
 
 
 def grouping_plan(omega) -> GroupingPlan:
-    """Smallest even device count n with cos^{n/2}(omega) <= sqrt(2)/2.
+    """Smallest even device count n = 2m with cos^m(omega) <= sqrt(2)/2.
 
-    The group size is seeded from the logarithmic bound and then settled by
-    direct powering; boundary ties resolve inclusively within 1e-12.
+    :func:`group_sizes` at one overlap.
     """
     omega = _as_angle(omega)
     c = omega.cos
-    m = 1
-    if not _group_condition(c, 1):
-        m = max(1, math.ceil(math.log(FEASIBILITY_BOUNDARY) / math.log(c) - 1e-9))
-        while not _group_condition(c, m):
-            m += 1
-        while m > 1 and _group_condition(c, m - 1):
-            m -= 1
+    m = int(group_sizes([c])[0])
     effective = OverlapAngle(math.acos(c**m))
     return GroupingPlan(omega=omega, n=2 * m, group_size=m, effective_omega=effective)
 
 
-def _pbr_condition(tan_half: float, n: int) -> bool:
-    return tan_half >= 2.0 ** (1.0 / n) - 1.0 - BOUNDARY_TOL
+def _pbr_condition(tan_half: np.ndarray, n: np.ndarray) -> np.ndarray:
+    return tan_half >= elementwise(_pow2, 1.0 / n) - 1.0 - BOUNDARY_TOL
 
 
-def min_n_pbr(omega) -> int:
-    """Smallest n >= 2 with tan(omega/2) >= 2^{1/n} - 1.
+def pbr_counts(tan_half) -> np.ndarray:
+    """Smallest n >= 2 with tan(omega/2) >= 2^{1/n} - 1, per element.
 
-    Seeded from n >= ln 2 / ln(1 + tan(omega/2)), then settled by direct
+    ``tan_half`` is a 1-d array of tan(omega/2) values in (0, 1].  Seeded
+    from n >= ln 2 / ln(1 + tan(omega/2) + 1e-12), then settled by direct
     substitution so that boundary roundoff cannot shift the answer; floors
     at 2 because the setup needs at least two devices.
     """
-    omega = _as_angle(omega)
-    t = math.tan(omega.half)
-    n = max(2, math.ceil(math.log(2.0) / math.log1p(t) - 1e-9))
-    while not _pbr_condition(t, n):
-        n += 1
-    while n > 2 and _pbr_condition(t, n - 1):
-        n -= 1
-    return n
+    t = np.asarray(tan_half, dtype=float)
+    _require_range(t, (0.0 < t) & (t <= 1.0), "tan(omega/2) must lie in (0, 1]", AngleOutOfRange)
+    seed = np.ceil(_LOG_2 / elementwise(math.log1p, t + BOUNDARY_TOL) - 1e-9)
+    return _settle(_pbr_condition, t, np.maximum(2, seed).astype(np.int64), floor=2)
 
 
-def alt_log_bound_raw(cos_omega: float) -> float:
+def min_n_pbr(omega) -> int:
+    """Smallest n >= 2 with tan(omega/2) >= 2^{1/n} - 1: :func:`pbr_counts` at one overlap."""
+    return int(pbr_counts([math.tan(_as_angle(omega).half)])[0])
+
+
+def alt_log_bound_raw(cos_omega):
     """Halved logarithmic form of the alternative-route device bound.
 
     Returns -ln(2) / (2 ln cos(omega)) with no evenness or minimality
-    enforcement.  The operative condition cos^{n/2}(omega) <= sqrt(2)/2
-    needs roughly twice this value (at cos(omega) = sqrt(2)/2 this raw form
-    gives 1 while the true minimal even count is 2), so the number is
-    exposed only for curve comparison in the figure data.
+    enforcement, as a float for a float and as an array for an array.  The
+    operative condition cos^{n/2}(omega) <= sqrt(2)/2 needs roughly twice
+    this value (at cos(omega) = sqrt(2)/2 this raw form gives 1 while the
+    true minimal even count is 2), so the number is exposed only for curve
+    comparison in the figure data.
     """
-    if not (0.0 < cos_omega < 1.0):
-        raise GridOutOfRange(f"cos(omega) must lie in (0, 1), got {cos_omega!r}")
-    return -0.5 * math.log(2.0) / math.log(cos_omega)
+    c = np.asarray(cos_omega, dtype=float)
+    _require_range(c, (0.0 < c) & (c < 1.0), "cos(omega) must lie in (0, 1)", GridOutOfRange)
+    raw = -0.5 * _LOG_2 / elementwise(math.log, c)
+    return raw if c.ndim else float(raw)

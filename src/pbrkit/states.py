@@ -126,7 +126,7 @@ def reduce_pair(psi, phi) -> SymmetricPair:
     if psi.size < 2:
         raise DimMismatch(f"states must have dim >= 2, got dim {psi.size}")
     for name, vec in (("psi", psi), ("phi", phi)):
-        if abs(np.linalg.norm(vec) - 1.0) > TOL_NORM:
+        if not abs(np.linalg.norm(vec) - 1.0) <= TOL_NORM:  # NaN fails this too
             raise ValueError(f"{name} is not normalized (norm {np.linalg.norm(vec)!r})")
 
     overlap = complex(np.vdot(psi, phi))

@@ -3,6 +3,7 @@
 All run in-process except the broken-pipe test, which needs a real stdout.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -115,6 +116,33 @@ def test_fig2_byte_identical_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# SHA-256 of the CSVs as the per-row scalar implementation wrote them, on
+# x86-64 Linux with glibc's libm.  The rows follow libm's acos, cos, tan, log,
+# log1p and pow to the last bit, so another C library may give other bytes.
+FIGURE_DIGESTS = [
+    ("fig1", 200, "17c5aa654940821d8c6d7d242019cda0d795b50ad55181744288877951a77bb9"),
+    ("fig1", 20000, "14291d844ea5a9ab766e83cb1cd458b8734264081247974feb594f524574b64e"),
+    ("fig2", 200, "f3de7ec32a91f28c175254359c6715b898f9fe62c46a07098fbb3739d2bc8912"),
+    ("fig2", 20000, "f5c215bfb5cad11e88a95004f144ef1a90e17dbae6e090c902fcdeac1a69e327"),
+]
+
+
+@pytest.mark.parametrize("name,resolution,digest", FIGURE_DIGESTS)
+def test_figure_bytes_pinned(tmp_path, name, resolution, digest):
+    out = tmp_path / f"{name}.csv"
+    assert cli.main([name, "--resolution", str(resolution), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_figure_rows_independent_of_block_size(tmp_path, monkeypatch, name):
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    assert cli.main([name, "--resolution", "1001", "--out", str(whole)]) == 0
+    monkeypatch.setattr(cli, "CSV_BLOCK", 7)
+    assert cli.main([name, "--resolution", "1001", "--out", str(blocked)]) == 0
+    assert whole.read_bytes() == blocked.read_bytes()
+
+
 def test_fig_resolution_too_small(tmp_path, capsys):
     assert cli.main(["fig1", "--resolution", "1", "--out", str(tmp_path / "x.csv")]) == 1
     capsys.readouterr()
@@ -188,6 +216,16 @@ def test_reduce_rejects_badly_normalized(tmp_path, capsys):
     assert "norm deviates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_reduce_rejects_non_finite(tmp_path, capsys, bad):
+    path = tmp_path / "non_finite.json"
+    path.write_text(f'{{"dim": 2, "psi": [[{bad}, 0], [0, 0]], "phi": [[0.6, 0], [0.8, 0]]}}')
+    assert cli.main(["reduce", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: psi norm deviates by ")
+
+
 def test_reduce_missing_file(capsys):
     assert cli.main(["reduce", "--in", "/nonexistent/pair.json"]) == 1
     assert "error" in capsys.readouterr().err
@@ -228,6 +266,13 @@ def test_simulate_auto_reduction(capsys):
 def test_simulate_bad_trials(capsys):
     assert cli.main(["simulate", "--cos-omega", "0.5", "--trials", "0"]) == 1
     capsys.readouterr()
+
+
+def test_simulate_trials_beyond_int64(capsys):
+    assert cli.main(["simulate", "--cos-omega", "0.5", "--trials", str(2**63)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: trials must be <= 2**63 - 1, got {2**63}\n"
 
 
 def test_simulate_negative_seed(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pbrkit import (
+    MAX_TRIALS,
     BadEpsilon,
     BadPreparation,
     OverlapAngle,
@@ -28,7 +29,17 @@ def test_sample_counts_sum_to_trials():
     p = _solved_matrix(0.5)
     tally = sample_outcomes(p, 2, 12345, 0)
     assert sum(tally.counts) == tally.trials == 12345
-    assert tally.generator == "numpy-pcg64"
+    assert tally.generator == "numpy-pcg64-multinomial"
+
+
+def test_sample_huge_trial_counts_in_constant_memory():
+    # one multinomial draw: 10^12 trials cost what 10 do
+    p = _solved_matrix(0.5)
+    for j in (1, 2, 3, 4):
+        tally = sample_outcomes(p, j, 10**12, 100 + j)
+        assert sum(tally.counts) == 10**12
+        assert tally.counts[j - 1] == 0
+    assert sum(sample_outcomes(p, 1, MAX_TRIALS, 7).counts) == MAX_TRIALS
 
 
 def test_sample_deterministic():
@@ -74,6 +85,8 @@ def test_sample_rejects_bad_preparation():
 def test_sample_rejects_bad_trials():
     with pytest.raises(ValueError):
         sample_outcomes(_solved_matrix(0.5), 1, 0, 0)
+    with pytest.raises(ValueError):
+        sample_outcomes(_solved_matrix(0.5), 1, MAX_TRIALS + 1, 0)
 
 
 def test_report_zero_epsilon_is_vacuous():

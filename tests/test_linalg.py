@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pbrkit import DimMismatch, KindMismatch, kron
+from pbrkit import DimMismatch, KindMismatch, elementwise, kron
 from pbrkit.measurement import build_C, build_M
 from pbrkit.states import make_pair, reduce_pair
 
@@ -120,3 +120,14 @@ def test_is_unitary_rejects_preparation_operator():
 def test_is_unitary_implies_orthonormal_columns():
     m = build_M(0.4, -1.3)
     np.testing.assert_allclose(m.conj().T @ m, np.eye(4), atol=1e-12)
+
+
+def test_elementwise_is_libm_per_element():
+    x = np.linspace(0.01, 0.99, 101).reshape(101, 1)
+    got = elementwise(math.acos, x)
+    assert got.shape == x.shape
+    assert got.ravel().tolist() == [math.acos(v) for v in x.ravel().tolist()]
+    assert elementwise(math.pow, x, np.arange(101).reshape(101, 1)).ravel().tolist() == [
+        v**k for k, v in enumerate(x.ravel().tolist())
+    ]
+    assert elementwise(math.log, np.float64(0.5)).shape == ()

@@ -3,9 +3,9 @@
 These carry the correctness checks the library does not repeat at run time:
 the zero diagonal of M C, the closed form of that diagonal, unitarity of M,
 stochastic outcome columns, agreement of the two cos(beta) forms, the
-tensor-square form of C, the device-count bounds, the tensor-power overlap
-law and the reduce_pair round trip.  Every test is derandomized, so a run
-always draws the same examples.
+tensor-square form of C, the device-count bounds, minimality of the array
+device counts, the tensor-power overlap law and the reduce_pair round trip.
+Every test is derandomized, so a run always draws the same examples.
 """
 
 import math
@@ -23,11 +23,13 @@ from pbrkit import (
     cos_beta_closed_form,
     cos_beta_tan_form,
     diagonal_residual,
+    group_sizes,
     grouping_plan,
     kron,
     make_pair,
     min_n_pbr,
     outcome_matrix,
+    pbr_counts,
     product_state,
     reduce_pair,
     solve_measurement,
@@ -39,6 +41,24 @@ feasible_cos = st.floats(0.0, FEASIBILITY_BOUNDARY)
 any_cos = st.floats(0.0, 0.999999)
 omegas = st.floats(1e-3, math.pi / 2)
 phases = st.floats(-1e3, 1e3)
+
+
+def _ulps_around(x: float, k: int) -> list[float]:
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    return below[::-1] + above[1:]
+
+
+# where counts change or the figure grid ends: sqrt(2)/2 and the inclusive
+# boundary sqrt(2)/2 + 1e-12 to a few ulps, 1 - 10^-k, and the grid's end rows
+edge_cos = st.sampled_from(
+    _ulps_around(FEASIBILITY_BOUNDARY, 4)
+    + _ulps_around(FEASIBILITY_BOUNDARY + BOUNDARY_TOL, 4)
+    + [1.0 - 10.0**-k for k in range(6, 16)]
+    + np.linspace(0.01, 0.99, 20000)[[0, 1, -2, -1]].tolist()
+)
 
 
 @seeded
@@ -99,6 +119,21 @@ def test_device_counts_even_minimal_and_ordered(c):
     assert c**m <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL
     assert m == 1 or c ** (m - 1) > FEASIBILITY_BOUNDARY + BOUNDARY_TOL
     assert plan.n >= min_n_pbr(omega) >= 2
+
+
+def _minimal_by_substitution(holds, count: int, floor: int) -> bool:
+    """``count`` holds and no smaller count down to ``floor`` does (scanned up to 1000 below)."""
+    return holds(count) and not any(holds(k) for k in range(max(floor, count - 1000), count))
+
+
+@seeded
+@given(st.lists(st.one_of(edge_cos, any_cos), min_size=1, max_size=30))
+def test_array_counts_minimal_by_direct_substitution(cosines):
+    halves = [math.tan(OverlapAngle.from_cos(c).half) for c in cosines]
+    for c, m in zip(cosines, group_sizes(np.array(cosines)).tolist()):
+        assert _minimal_by_substitution(lambda k: c**k <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL, m, 1)
+    for t, n in zip(halves, pbr_counts(np.array(halves)).tolist()):
+        assert _minimal_by_substitution(lambda k: t >= 2.0 ** (1.0 / k) - 1.0 - BOUNDARY_TOL, n, 2)
 
 
 @seeded

@@ -109,6 +109,13 @@ def test_reduce_pair_unnormalized_rejected():
         reduce_pair(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_reduce_pair_non_finite_rejected(bad):
+    # a NaN norm deviation compares false against any limit
+    with pytest.raises(ValueError, match="psi is not normalized"):
+        reduce_pair(np.array([bad, 0.0]), np.array([0.6, 0.8]))
+
+
 def test_reduce_pair_round_trip_property():
     for omega in np.linspace(0.05, math.pi / 2, 25):
         pair = make_pair(omega)
