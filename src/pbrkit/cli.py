@@ -40,7 +40,7 @@ EXIT_CONTRADICTION = 4
 RENORM_LIMIT = 1e-8
 
 # Figure rows are computed and written this many at a time, so memory does
-# not grow with the resolution beyond the grid itself.
+# not grow with the resolution.
 CSV_BLOCK = 2048
 
 
@@ -63,18 +63,34 @@ def _format_matrix(name: str, m: np.ndarray) -> str:
     return f"{name} =\n{body}"
 
 
-def _figure_grid(resolution: int) -> np.ndarray:
+def _figure_blocks(resolution: int):
+    """The grid ``np.linspace(0.01, 0.99, resolution)``, CSV_BLOCK points at a time.
+
+    Each point is computed as linspace computes it (0.01 + i * step, the last
+    one set to 0.99), so the blocks hold the same bits and the whole grid is
+    never allocated.  The resolution is checked at the call, not at the
+    first block.
+    """
     if resolution < 2:
         raise _UsageError(f"resolution must be >= 2, got {resolution}")
-    return np.linspace(0.01, 0.99, resolution)
+    step = (0.99 - 0.01) / (resolution - 1)
+
+    def blocks():
+        for start in range(0, resolution, CSV_BLOCK):
+            grid = np.arange(start, min(start + CSV_BLOCK, resolution)) * step + 0.01
+            if start + CSV_BLOCK >= resolution:
+                grid[-1] = 0.99
+            yield grid
+
+    return blocks()
 
 
-def _write_csv(path: str, header: str, row_format: str, grid: np.ndarray, columns) -> None:
-    """Write the header, then ``row_format`` over ``columns(block)`` for each block of the grid."""
+def _write_csv(path: str, header: str, row_format: str, blocks, columns) -> None:
+    """Write the header, then ``row_format`` over ``columns(block)`` for each grid block."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(header + "\n")
-        for start in range(0, grid.size, CSV_BLOCK):
-            rows = zip(*(col.tolist() for col in columns(grid[start : start + CSV_BLOCK])))
+        for grid in blocks:
+            rows = zip(*(col.tolist() for col in columns(grid)))
             fh.write("".join([row_format % row for row in rows]))
 
 
@@ -115,13 +131,13 @@ def _fig2_columns(grid: np.ndarray):
 
 def cmd_fig1(args) -> int:
     _write_csv(args.out, "cos_omega,cos_beta,feasible", "%.17g,%.17g,%s\n",
-               _figure_grid(args.resolution), _fig1_columns)
+               _figure_blocks(args.resolution), _fig1_columns)
     return EXIT_OK
 
 
 def cmd_fig2(args) -> int:
     _write_csv(args.out, "cos_omega,n_pbr,n_alt,n_alt_log_raw", "%.17g,%d,%d,%.17g\n",
-               _figure_grid(args.resolution), _fig2_columns)
+               _figure_blocks(args.resolution), _fig2_columns)
     return EXIT_OK
 
 
@@ -228,6 +244,7 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; subcommand ``name`` is carried out by ``cmd_<name>``."""
     parser = _Parser(
         prog="pbrkit",
         description="Forbidden-outcome construction for pairwise-overlapping preparations.",
@@ -237,22 +254,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the measurement phases at one overlap value")
     p.add_argument("--cos-omega", dest="cos_omega", type=float, required=True,
                    help="overlap cos(omega) in [0, 1)")
-    p.set_defaults(func=cmd_solve)
 
-    for name, func, help_text in (
-        ("fig1", cmd_fig1, "emit cos(beta) curve data as CSV"),
-        ("fig2", cmd_fig2, "emit minimal-device-count comparison data as CSV"),
+    for name, help_text in (
+        ("fig1", "emit cos(beta) curve data as CSV"),
+        ("fig2", "emit minimal-device-count comparison data as CSV"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--resolution", type=int, default=200,
                        help="grid points over cos(omega) in [0.01, 0.99] (default 200)")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.set_defaults(func=func)
 
     p = sub.add_parser("reduce", help="reduce a JSON state pair to its two-dim core")
     p.add_argument("--in", dest="in_path", required=True,
                    help="JSON file: {dim, psi: [[re, im], ...], phi: [...]}")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("simulate", help="sample outcome counts for all four joint preparations")
     p.add_argument("--cos-omega", dest="cos_omega", type=float, required=True,
@@ -261,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samples per preparation (default 10000)")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed; preparation j samples with seed + j - 1 (default 0)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="render the epsilon^n incompatibility report")
     p.add_argument("--cos-omega", dest="cos_omega", type=float, required=True,
@@ -270,16 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assumed per-device compatibility probability in [0, 1]")
     p.add_argument("--json", dest="as_json", action="store_true",
                    help="emit a JSON record instead of text")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+# Built by the first main() call and reused by every later one; parsing
+# keeps no state in the parser between calls.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+        # Looked up by name at each call, so a rebound cmd_* is the one that runs.
+        return globals()["cmd_" + args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InconsistentPhases
-from .linalg import kron
 from .states import OverlapAngle, _as_angle
 
 # cos(omega) above sqrt(2)/2 admits no real beta.  The boundary is inclusive
@@ -71,12 +70,14 @@ def build_C(omega) -> np.ndarray:
     C is the tensor square B (x) B of the 2x2 matrix B whose columns are the
     canonical pair (psi, phi), so its columns are the Kronecker products
     (psi psi, psi phi, phi psi, phi phi): unit vectors but mutually
-    non-orthogonal, so C itself is not unitary.
+    non-orthogonal, so C itself is not unitary.  The broadcast product
+    C[2i + k, 2j + l] = B[i, j] B[k, l] makes the same complex products as
+    ``np.kron``, signed zeros included.
     """
     omega = _as_angle(omega)
     c, s = math.cos(omega.half), math.sin(omega.half)
     b = np.array([[c, c], [s, -s]], dtype=complex)
-    return kron(b, b)
+    return (b[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def build_M(alpha: float, beta: float) -> np.ndarray:

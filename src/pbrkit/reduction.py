@@ -43,22 +43,46 @@ def _require_range(values: np.ndarray, ok: np.ndarray, message: str, error) -> N
         raise error(f"{message}, got {float(values[~ok].flat[0])!r}")
 
 
+def _probe(holds, x: np.ndarray, i: np.ndarray, probe: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Test ``probe`` at the counts ``i``: it becomes ``hi`` where the condition holds, ``lo`` where not."""
+    ok = holds(x[i], probe)
+    hi[i[ok]] = probe[ok]
+    lo[i[~ok]] = probe[~ok]
+    return ok
+
+
 def _settle(holds, x: np.ndarray, counts: np.ndarray, floor: int) -> np.ndarray:
     """Smallest counts with ``holds(x, counts)``, settled from a seed by direct substitution.
 
-    Each count steps up while the condition fails at it, then down while it
-    still holds one lower and the count is above ``floor``, so roundoff in
-    the seed cannot shift the answer.  Only the counts still moving are
-    tested again.
+    A seed where the condition fails gallops up (strides 1, 2, 4, ...) until
+    it holds; a seed where it still holds one lower gallops down the same way,
+    no lower than ``floor``.  Bisection then narrows each bracket until the
+    count holds and the count below it fails (or is under ``floor``), so
+    roundoff in the seed cannot shift the answer, and a flat stretch of the
+    computed condition costs a logarithmic number of tests, not one per
+    count.  A seed that holds above a count that fails costs two tests.  Only
+    the counts still moving are tested again.
     """
-    i = np.arange(counts.size)
-    while (i := i[~holds(x[i], counts[i])]).size:
-        counts[i] += 1
-    i = np.flatnonzero(counts > floor)
-    while (i := i[holds(x[i], counts[i] - 1)]).size:
-        counts[i] -= 1
-        i = i[counts[i] > floor]
-    return counts
+    hi = counts.copy()  # holds, once found
+    lo = np.full_like(counts, floor - 1)  # fails, or is under the floor
+    stride = np.ones_like(counts)
+    failed = ~_probe(holds, x, np.arange(counts.size), counts, lo, hi)
+    i = np.flatnonzero(failed)
+    while i.size:
+        ok = _probe(holds, x, i, lo[i] + stride[i], lo, hi)
+        stride[i] *= 2
+        i = i[~ok]
+    i = np.flatnonzero(~failed & (counts > floor))
+    while i.size:
+        probe = np.maximum(hi[i] - stride[i], floor)
+        ok = _probe(holds, x, i, probe, lo, hi)
+        stride[i] *= 2
+        i = i[ok & (probe > floor)]
+    i = np.flatnonzero(hi - lo > 1)
+    while i.size:
+        _probe(holds, x, i, lo[i] + (hi[i] - lo[i]) // 2, lo, hi)
+        i = i[hi[i] - lo[i] > 1]
+    return hi
 
 
 def _group_condition(cos_omega: np.ndarray, group_size: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface.
 
-All run in-process except the broken-pipe test, which needs a real stdout.
+All run in-process except the few that need a process of their own: a real
+stdout, a memory limit, or a fresh import.
 """
 
 import hashlib
@@ -9,8 +10,10 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pbrkit import cli
@@ -22,6 +25,15 @@ ROOT2 = math.sqrt(2.0)
 def _write_pair(path, dim, psi, phi):
     path.write_text(json.dumps({"dim": dim, "psi": psi, "phi": phi}))
     return str(path)
+
+
+def _subprocess_env(**extra):
+    """The test's environment, with pbrkit's source tree first on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
 
 
 def test_solve_feasible(capsys):
@@ -141,6 +153,37 @@ def test_figure_rows_independent_of_block_size(tmp_path, monkeypatch, name):
     monkeypatch.setattr(cli, "CSV_BLOCK", 7)
     assert cli.main([name, "--resolution", "1001", "--out", str(blocked)]) == 0
     assert whole.read_bytes() == blocked.read_bytes()
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 2047, 2049, 20123, 1000003])
+def test_figure_blocks_are_linspace(resolution):
+    blocks = list(cli._figure_blocks(resolution))
+    assert max(block.size for block in blocks) <= cli.CSV_BLOCK
+    grid = np.concatenate(blocks)
+    assert grid.tobytes() == np.linspace(0.01, 0.99, resolution).tobytes()
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_fig_huge_resolution_in_bounded_memory():
+    # 10^9 rows would be a 7.45 GiB grid; only one block may be allocated,
+    # and its write hits ENOSPC
+    result = subprocess.run(
+        [sys.executable, "-m", "pbrkit.cli", "fig1", "--resolution", "1000000000", "--out", "/dev/full"],
+        capture_output=True,
+        env=_subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr.startswith(b"error: ")
+    assert b"Traceback" not in result.stderr
 
 
 def test_fig_resolution_too_small(tmp_path, capsys):
@@ -315,14 +358,96 @@ def test_report_bad_epsilon(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+REUSE_SEQUENCES = {
+    "report-json-then-text": [
+        ["report", "--cos-omega", "0.9", "--epsilon", "0.2", "--json"],
+        ["report", "--cos-omega", "0.9", "--epsilon", "0.2"],
+    ],
+    "simulate-trials-then-default": [
+        ["simulate", "--cos-omega", "0.5", "--trials", "7"],
+        ["simulate", "--cos-omega", "0.5"],
+    ],
+    "usage-error-then-good": [
+        ["simulate", "--cos-omega", "0.5", "--trials", "abc"],
+        ["simulate", "--cos-omega", "0.5", "--trials", "3"],
+    ],
+    "missing-flag-then-good": [["solve"], ["solve", "--cos-omega", "0.3"]],
+}
+
+
+@pytest.mark.parametrize("calls", REUSE_SEQUENCES.values(), ids=REUSE_SEQUENCES)
+def test_main_reused_parser_matches_fresh_parser(monkeypatch, capsys, calls):
+    def run(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(argv))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [run(argv) for argv in calls] == fresh
+
+
+def test_main_builds_parser_once(monkeypatch, capsys):
+    build_parser = cli.build_parser
+    assert build_parser() is not build_parser()
+    builds = []
+
+    def counting_build_parser():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for calls in REUSE_SEQUENCES.values():
+        for argv in calls:
+            cli.main(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def test_main_dispatches_to_rebound_command(monkeypatch, capsys):
+    assert cli.main(["report", "--cos-omega", "0.9", "--epsilon", "0.2"]) == 0
+    capsys.readouterr()
+    seen = []
+
+    def fake_report(args):
+        seen.append(args)
+        return 42
+
+    monkeypatch.setattr(cli, "cmd_report", fake_report)
+    assert cli.main(["report", "--cos-omega", "0.9", "--epsilon", "0.2", "--json"]) == 42
+    assert capsys.readouterr().out == ""
+    assert len(seen) == 1 and seen[0].as_json and seen[0].epsilon == 0.2
+
+
+def test_import_builds_no_parser():
+    code = textwrap.dedent(
+        """
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import pbrkit.cli
+        print(len(built), pbrkit.cli._PARSER)
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"0 None\n"
+
+
 # Unbuffered, the write in main fails; buffered, the flush on the way out does.
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_report_broken_pipe(unbuffered):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _subprocess_env(PYTHONUNBUFFERED="1") if unbuffered else _subprocess_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -1,6 +1,7 @@
 """Tests for the grouping plan and the two minimal-device-count bounds."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def test_min_n_pbr_minimality():
         assert t >= 2.0 ** (1.0 / n) - 1.0 - 1e-12
         if n > 2:
             assert t < 2.0 ** (1.0 / (n - 1)) - 1.0
+
+
+def test_min_n_pbr_tiny_angle_returns_quickly():
+    # 2^(1/n) - 1 is flat over ~10^8 consecutive counts here, too many to walk one by one
+    start = time.perf_counter()
+    n = min_n_pbr(1e-300)
+    assert time.perf_counter() - start < 1.0
+    t = math.tan(5e-301)
+    assert t >= 2.0 ** (1.0 / n) - 1.0 - 1e-12
+    assert t < 2.0 ** (1.0 / (n - 1)) - 1.0 - 1e-12
 
 
 def test_effective_pair_two_devices_is_identity():
