@@ -58,9 +58,49 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
+def _fill(values, fmt: str) -> list:
+    """numpy's maxprec fill: each ``fmt % v`` less its trailing zeros, padded at the
+    '.' to the widest in ``values``; (text, right padding) pairs, so a 'j' fits between."""
+    parts = [(fmt % v).rstrip("0").split(".") for v in values]
+    left, right = max(len(i) for i, _ in parts), max(len(f) for _, f in parts)
+    return [(i.rjust(left) + "." + f, " " * (right - len(f))) for i, f in parts]
+
+
+def _layout(words: list, shape: tuple, indent: str, width: int) -> str:
+    """numpy's _formatArray: brackets, rows wrapped at ``width`` under a hanging
+    ``indent``.  No word comes near a line's width, so numpy's rule against
+    wrapping a line that holds only the indent never applies."""
+    if len(shape) > 1:
+        step = len(words) // shape[0]
+        rows = [_layout(words[k:k + step], shape[1:], indent + " ", width - 1)
+                for k in range(0, len(words), step)]
+        return "[" + ("\n" * (len(shape) - 1) + indent).join(rows) + "]"
+    text, line = "", indent
+    for word in words:
+        if len(line) + len(word) > width - 1:
+            text += line.rstrip() + "\n"
+            line = indent
+        line += word + " "
+    return "[" + (text + line)[len(indent):-1] + "]"
+
+
 def _format_matrix(name: str, m: np.ndarray) -> str:
-    body = np.array2string(m, precision=6, suppress_small=True, max_line_width=140)
-    return f"{name} =\n{body}"
+    """``name =`` over the bytes of ``np.array2string(m, precision=6, suppress_small=True,
+    max_line_width=140)``, in plain Python: ``"%.6f"`` less its trailing zeros is numpy's
+    Dragon4 at precision 6, trim '.'.  Domain: finite entries of modulus < 1e8 (no exponent
+    format), at most 1000 of them unless ``m`` is 1-d; pbrkit prints entries of modulus <= 1.
+    """
+    values = m.ravel().tolist()
+    if m.size > 1000:  # numpy summarises to three entries at each end
+        values = values[:3] + values[-3:]
+    if m.dtype.kind == "c":
+        parts = zip(_fill([v.real for v in values], "%.6f"), _fill([v.imag for v in values], "%+.6f"))
+        words = [r + r_pad + i + "j" + i_pad for (r, r_pad), (i, i_pad) in parts]
+    else:
+        words = [s + pad for s, pad in _fill(values, "%.6f")]
+    if m.size > 1000:
+        words[3:3] = ["..."]
+    return f"{name} =\n{_layout(words, m.shape, ' ', 140)}"
 
 
 def _figure_blocks(resolution: int):

@@ -61,24 +61,22 @@ def _settle(holds, x: np.ndarray, counts: np.ndarray, floor: int) -> np.ndarray:
     roundoff in the seed cannot shift the answer, and a flat stretch of the
     computed condition costs a logarithmic number of tests, not one per
     count.  A seed that holds above a count that fails costs two tests.  Only
-    the counts still moving are tested again.
+    the counts still moving are tested again; they gallop in step, so one
+    stride serves them all.
     """
+    held = holds(x, counts)
     hi = counts.copy()  # holds, once found
-    lo = np.full_like(counts, floor - 1)  # fails, or is under the floor
-    stride = np.ones_like(counts)
-    failed = ~_probe(holds, x, np.arange(counts.size), counts, lo, hi)
-    i = np.flatnonzero(failed)
+    lo = np.where(held, floor - 1, counts)  # fails, or is under the floor
+    i, stride = (~held).nonzero()[0], 1
     while i.size:
-        ok = _probe(holds, x, i, lo[i] + stride[i], lo, hi)
-        stride[i] *= 2
-        i = i[~ok]
-    i = np.flatnonzero(~failed & (counts > floor))
+        ok = _probe(holds, x, i, lo[i] + stride, lo, hi)
+        i, stride = i[~ok], 2 * stride
+    i, stride = (held & (counts > floor)).nonzero()[0], 1
     while i.size:
-        probe = np.maximum(hi[i] - stride[i], floor)
+        probe = np.maximum(hi[i] - stride, floor)
         ok = _probe(holds, x, i, probe, lo, hi)
-        stride[i] *= 2
-        i = i[ok & (probe > floor)]
-    i = np.flatnonzero(hi - lo > 1)
+        i, stride = i[ok & (probe > floor)], 2 * stride
+    i = (hi - lo > 1).nonzero()[0]
     while i.size:
         _probe(holds, x, i, lo[i] + (hi[i] - lo[i]) // 2, lo, hi)
         i = i[hi[i] - lo[i] > 1]
@@ -100,6 +98,8 @@ def group_sizes(cos_omega) -> np.ndarray:
     _require_range(c, (0.0 <= c) & (c < 1.0), "cos(omega) must lie in [0, 1)", AngleOutOfRange)
     m = np.ones(c.shape, dtype=np.int64)
     far = ~within_boundary(c)
+    if not far.any():
+        return m
     seed = np.ceil(_LOG_GROUP_BOUND / elementwise(math.log, c[far]) - 1e-9).astype(np.int64)
     m[far] = _settle(_group_condition, c[far], seed, floor=1)
     return m

@@ -15,9 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pbrkit import cli
 from pbrkit.experiment import OutcomeCounts
+from pbrkit.measurement import FEASIBILITY_BOUNDARY, build_C, build_M, outcome_matrix, solve_measurement
+from pbrkit.states import OverlapAngle, reduce_pair
 
 ROOT2 = math.sqrt(2.0)
 
@@ -272,6 +277,90 @@ def test_reduce_rejects_non_finite(tmp_path, capsys, bad):
 def test_reduce_missing_file(capsys):
     assert cli.main(["reduce", "--in", "/nonexistent/pair.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _wide_pair(dim):
+    """A fixed complex pair whose basis vectors wrap past 140 columns."""
+    psi = [[math.cos(k) / math.sqrt(dim), math.sin(k) / math.sqrt(dim)] for k in range(dim)]
+    phi = [[math.cos(0.7 * k) / math.sqrt(dim), math.sin(0.7 * k) / math.sqrt(dim)] for k in range(dim)]
+    return psi, phi
+
+
+# SHA-256 of stdout, taken while np.array2string printed the matrices.
+SOLVE_DIGESTS = [
+    ("0", "236a2492c52e5368600579d8a94fea002316a98125cc178f2628ba8bc781e14d"),
+    ("0.3", "11ba556b258e4dd125a69474ede5179542b2ec9ff995895a14cfbe52fc8f2aee"),
+    (repr(ROOT2 / 2), "3a0246e8d49d5a9551e662c0e3c5c3e42f0c624d9852248ef67fa63a2886395f"),
+    ("0.9", "f9f066af3e314c4644d76dc504793ca678316ab5cf377a1a815753c81f11f4eb"),
+]
+REDUCE_PAIRS = [
+    (3, [[1, 0], [0, 0], [0, 0]], [[0.8, 0], [0, 0.36], [0.48, 0]],
+     "f5cbce3d91c779ba0e51db0702f7adcf764a9ddf64623bfb0481028f6b7d9bb6"),
+    (40, *_wide_pair(40), "5e75b9e865459e264655accd6b073133e6a5547407aed0c33dd329865a9e353b"),
+]
+
+
+@pytest.mark.parametrize("cos_omega,digest", SOLVE_DIGESTS)
+def test_solve_bytes_pinned(capsys, cos_omega, digest):
+    cli.main(["solve", "--cos-omega", cos_omega])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dim,psi,phi,digest", REDUCE_PAIRS, ids=["dim3", "dim40"])
+def test_reduce_bytes_pinned(tmp_path, capsys, dim, psi, phi, digest):
+    assert cli.main(["reduce", "--in", _write_pair(tmp_path / "pair.json", dim, psi, phi)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _solved(c, which):
+    angle = OverlapAngle.from_cos(c)
+    sol = solve_measurement(angle)
+    if which == "M":
+        return build_M(sol.alpha, sol.beta)
+    return build_C(angle) if which == "C" else outcome_matrix(angle, sol.alpha, sol.beta).p
+
+
+def _basis(dim, c, seed, which):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    perp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    perp -= np.vdot(psi, perp) * psi
+    perp /= np.linalg.norm(perp)
+    phi = np.exp(1j * rng.uniform(-math.pi, math.pi)) * c * psi + math.sqrt(1.0 - c * c) * perp
+    pair = reduce_pair(psi, phi / np.linalg.norm(phi))
+    return pair.basis1 if which else pair.basis0
+
+
+_shapes = hnp.array_shapes(min_dims=1, max_dims=2, max_side=12)
+_wide = st.one_of(st.tuples(st.integers(20, 80)), st.tuples(st.integers(1, 6), st.integers(10, 30)))
+_tiny = st.sampled_from([1e-33, -1e-33, 0.0, -0.0, 0.5])
+PRINTED_ARRAYS = {
+    "solved": st.builds(_solved, st.one_of(st.sampled_from([0.0, FEASIBILITY_BOUNDARY]),
+                                           st.floats(0.0, FEASIBILITY_BOUNDARY)),
+                        st.sampled_from("MCP")),
+    "C-infeasible": st.floats(FEASIBILITY_BOUNDARY + 1e-9, 0.999999).map(
+        lambda c: build_C(OverlapAngle.from_cos(c))),
+    "bases": st.builds(_basis, st.integers(2, 64), st.floats(0.0, 0.999),
+                       st.integers(0, 2**32 - 1), st.booleans()),
+    "dyadic-ties": hnp.arrays(float, _shapes, elements=st.integers(-2**12, 2**12).map(lambda k: k / 2**7)),
+    "tiny-and-signed-zero": hnp.arrays(complex, _shapes, elements=st.builds(complex, _tiny, _tiny)),
+    "all-zero": st.builds(np.zeros, _shapes, st.sampled_from([float, complex])),
+    "wide-real": hnp.arrays(float, _wide, elements=st.floats(-1e7, 1e7)),
+    "wide-complex": hnp.arrays(complex, _wide, elements=st.complex_numbers(max_magnitude=1e7)),
+    "summarised": st.integers(1001, 3000).map(lambda n: np.random.default_rng(n).normal(size=n) / 30),
+}
+
+
+@pytest.mark.parametrize("kind", PRINTED_ARRAYS)
+def test_format_matrix_is_array2string(kind):
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(PRINTED_ARRAYS[kind])
+    def check(m):
+        body = np.array2string(m, precision=6, suppress_small=True, max_line_width=140)
+        assert cli._format_matrix("X", m) == f"X =\n{body}"
+
+    check()
 
 
 def test_simulate_forbidden_never_fires(capsys):
