@@ -11,12 +11,10 @@ from .errors import (
     AngleOutOfRange,
     BadEpsilon,
     BadPreparation,
-    CopiesOutOfRange,
     DegeneratePair,
     DimMismatch,
     GridOutOfRange,
     InconsistentPhases,
-    KindMismatch,
     ToolkitError,
 )
 from .experiment import (
@@ -30,17 +28,14 @@ from .experiment import (
     report_as_dict,
     sample_outcomes,
 )
-from .linalg import TOL_NORM, elementwise, kron
+from .linalg import TOL_NORM, elementwise
 from .measurement import (
     BOUNDARY_TOL,
     FEASIBILITY_BOUNDARY,
     MeasurementSolution,
-    OutcomeMatrix,
     build_C,
     build_M,
-    cos_beta_closed_form,
     cos_beta_raw,
-    cos_beta_tan_form,
     diagonal_residual,
     outcome_matrix,
     solve_alpha,
@@ -58,11 +53,8 @@ from .reduction import (
 )
 from .states import (
     DEGENERACY_THRESHOLD,
-    MAX_COPIES,
     OverlapAngle,
     SymmetricPair,
-    make_pair,
-    product_state,
     reduce_pair,
 )
 
@@ -74,7 +66,6 @@ __all__ = [
     "BadPreparation",
     "BOUNDARY_TOL",
     "ContradictionReport",
-    "CopiesOutOfRange",
     "DegeneratePair",
     "DEGENERACY_THRESHOLD",
     "DimMismatch",
@@ -82,12 +73,9 @@ __all__ = [
     "GridOutOfRange",
     "GroupingPlan",
     "InconsistentPhases",
-    "KindMismatch",
-    "MAX_COPIES",
     "MAX_TRIALS",
     "MeasurementSolution",
     "OutcomeCounts",
-    "OutcomeMatrix",
     "OverlapAngle",
     "PROB_FLOOR",
     "SymmetricPair",
@@ -98,19 +86,14 @@ __all__ = [
     "build_C",
     "build_M",
     "contradiction_report",
-    "cos_beta_closed_form",
     "cos_beta_raw",
-    "cos_beta_tan_form",
     "diagonal_residual",
     "elementwise",
     "group_sizes",
     "grouping_plan",
-    "kron",
-    "make_pair",
     "min_n_pbr",
     "outcome_matrix",
     "pbr_counts",
-    "product_state",
     "reduce_pair",
     "render_report",
     "report_as_dict",

@@ -147,8 +147,8 @@ def cmd_solve(args) -> int:
     probs = outcome_matrix(angle, sol.alpha, sol.beta)
     print(_format_matrix("M", build_M(sol.alpha, sol.beta)))
     print(_format_matrix("C", build_C(angle)))
-    print(_format_matrix("P", probs.p))
-    print(f"max diagonal probability = {_g17(probs.p.diagonal().max())}")
+    print(_format_matrix("P", probs))
+    print(f"max diagonal probability = {_g17(probs.diagonal().max())}")
     return EXIT_OK
 
 
@@ -190,6 +190,8 @@ def _parse_state(obj: dict, name: str, dim: int) -> np.ndarray:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise _UsageError(f"'{name}[{k}]' must be a [re, im] pair")
         try:
+            if any(isinstance(x, bool) for x in entry):  # float() takes JSON true as 1.0
+                raise TypeError
             vec[k] = complex(float(entry[0]), float(entry[1]))
         except (TypeError, ValueError):
             raise _UsageError(f"'{name}[{k}]' holds non-numeric values") from None
@@ -202,7 +204,7 @@ def _load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict) or not isinstance(obj.get("dim"), int):
+    if not isinstance(obj, dict) or type(obj.get("dim")) is not int:  # a bool is an int too
         raise _UsageError("input must be an object with integer 'dim' and lists 'psi', 'phi'")
     dim = obj["dim"]
     if dim < 2:

@@ -5,10 +5,6 @@ class ToolkitError(Exception):
     """Base class for all toolkit-specific errors."""
 
 
-class KindMismatch(ToolkitError, TypeError):
-    """Kronecker product mixing a vector with a matrix."""
-
-
 class DimMismatch(ToolkitError, ValueError):
     """Operands have incompatible dimensions."""
 
@@ -19,10 +15,6 @@ class AngleOutOfRange(ToolkitError, ValueError):
 
 class DegeneratePair(ToolkitError, ValueError):
     """States are identical up to a global phase."""
-
-
-class CopiesOutOfRange(ToolkitError, ValueError):
-    """Tensor-power copy count outside [1, 10]."""
 
 
 class InconsistentPhases(ToolkitError, ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadEpsilon, BadPreparation
-from .measurement import OutcomeMatrix, outcome_matrix, solve_measurement
+from .measurement import outcome_matrix, solve_measurement
 from .reduction import grouping_plan
 from .states import OverlapAngle, _as_angle
 
@@ -57,20 +57,21 @@ class ContradictionReport:
     forbidden_probabilities: tuple[float, float, float, float]
 
 
-def sample_outcomes(p: OutcomeMatrix, preparation: int, trials: int, seed: int) -> OutcomeCounts:
+def sample_outcomes(p: np.ndarray, preparation: int, trials: int, seed: int) -> OutcomeCounts:
     """Draw the four outcome counts of one preparation in one multinomial draw.
 
-    The support is the entries of the preparation's column at or above
-    PROB_FLOOR.  It is renormalized and sampled with numpy's PCG64
-    ``Generator.multinomial`` seeded with ``seed``; every other outcome
-    counts 0 by construction.  Time and memory do not grow with ``trials``
-    (1 to MAX_TRIALS), and identical inputs give identical counts.
+    ``p`` is an :func:`outcome_matrix`.  The support is the entries of the
+    preparation's column at or above PROB_FLOOR.  It is renormalized and
+    sampled with numpy's PCG64 ``Generator.multinomial`` seeded with
+    ``seed``; every other outcome counts 0 by construction.  Time and
+    memory do not grow with ``trials`` (1 to MAX_TRIALS), and identical
+    inputs give identical counts.
     """
     if preparation not in (1, 2, 3, 4):
         raise BadPreparation(f"preparation must be in 1..4, got {preparation}")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, 2**63 - 1], got {trials}")
-    column = p.p[:, preparation - 1]
+    column = p[:, preparation - 1]
     support = np.flatnonzero(column >= PROB_FLOOR)
     counts = np.zeros(4, dtype=np.int64)
     weights = column[support]
@@ -98,7 +99,7 @@ def contradiction_report(omega, epsilon: float) -> ContradictionReport:
     plan = grouping_plan(omega)
     solution = solve_measurement(plan.effective_omega)
     probs = outcome_matrix(plan.effective_omega, solution.alpha, solution.beta)
-    diagonal = np.diag(probs.p)
+    diagonal = np.diag(probs)
     max_diagonal = float(diagonal.max())
     return ContradictionReport(
         omega=omega,

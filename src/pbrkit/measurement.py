@@ -54,16 +54,6 @@ class MeasurementSolution:
     cos_beta_raw: float
 
 
-@dataclass(frozen=True)
-class OutcomeMatrix:
-    """Column-stochastic p[k][j] = P(outcome k+1 | joint preparation j+1)."""
-
-    p: np.ndarray
-    omega: OverlapAngle
-    alpha: float
-    beta: float
-
-
 def build_C(omega) -> np.ndarray:
     """4x4 preparation operator; column j is joint preparation j.
 
@@ -113,22 +103,6 @@ def cos_beta_raw(cos_omega):
     return (c * c + c - 1.0) / ((1.0 - c) * np.sqrt(1.0 - c * c))
 
 
-def cos_beta_closed_form(omega) -> float:
-    """Production formula: :func:`cos_beta_raw` at cos(omega)."""
-    return float(cos_beta_raw(_as_angle(omega).cos))
-
-
-def cos_beta_tan_form(omega) -> float:
-    """Equivalent tan-power form (t^-3 - 4 t^-1 - t) / 4 with t = tan(w/2).
-
-    Kept as the reference the tests compare the closed form against;
-    diverges like t^-3 as w -> 0, so the production path uses
-    :func:`cos_beta_closed_form`.
-    """
-    t = math.tan(_as_angle(omega).half)
-    return 0.25 * (t**-3 - 4.0 / t - t)
-
-
 def solve_beta(omega) -> MeasurementSolution:
     """Solve the zero-diagonal condition for beta; alpha is left unset.
 
@@ -139,7 +113,7 @@ def solve_beta(omega) -> MeasurementSolution:
     """
     omega = _as_angle(omega)
     feasible = within_boundary(omega.cos)
-    raw = cos_beta_closed_form(omega)
+    raw = float(cos_beta_raw(omega.cos))
     beta = None
     if feasible:
         beta = math.acos(min(1.0, max(-1.0, raw)))
@@ -189,8 +163,11 @@ def diagonal_residual(omega, alpha: float, beta: float) -> complex:
     )
 
 
-def outcome_matrix(omega, alpha: float, beta: float) -> OutcomeMatrix:
-    """Outcome probabilities |(M C)[k][j]|^2; every column sums to 1."""
-    omega = _as_angle(omega)
+def outcome_matrix(omega, alpha: float, beta: float) -> np.ndarray:
+    """4x4 outcome probabilities p[k, j] = |(M C)[k, j]|^2.
+
+    Entry (k, j) is P(outcome k+1 | joint preparation j+1), so every column
+    sums to 1.
+    """
     amplitudes = build_M(alpha, beta) @ build_C(omega)
-    return OutcomeMatrix(p=np.abs(amplitudes) ** 2, omega=omega, alpha=alpha, beta=beta)
+    return np.abs(amplitudes) ** 2

@@ -1,4 +1,4 @@
-"""Canonical symmetric state pairs and tensor-power product states.
+"""The overlap angle, and canonical symmetric state pairs.
 
 Any two distinct pure states span a plane in which they can be written as
 
@@ -6,9 +6,9 @@ Any two distinct pure states span a plane in which they can be written as
     phi = cos(omega/2) * basis0 - sin(omega/2) * basis1
 
 after stripping a global phase from one of them, with cos(omega) equal to
-the overlap modulus |<psi|phi>|.  This module constructs that form from a
-given angle, recovers it from an arbitrary-dimension pair, and builds the
-m-fold tensor powers whose overlap obeys <s^m|t^m> = <s|t>^m.
+the overlap modulus |<psi|phi>|.  This module recovers that form from an
+arbitrary-dimension pair.  Tensor powers are never built: the group overlap
+cos^m(omega) is all the reduction needs.
 """
 
 import math
@@ -16,16 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleOutOfRange, CopiesOutOfRange, DegeneratePair, DimMismatch
-from .linalg import TOL_NORM, kron
+from .errors import AngleOutOfRange, DegeneratePair, DimMismatch
+from .linalg import TOL_NORM
 
 # Overlap moduli this close to 1 are below the double-precision resolution of
 # the angle between the states.
 DEGENERACY_THRESHOLD = 1.0 - 1e-12
-
-# Tensor powers are capped at dim 2^10 = 1024; larger device counts are
-# handled analytically without building vectors.
-MAX_COPIES = 10
 
 
 @dataclass(frozen=True)
@@ -80,33 +76,6 @@ class SymmetricPair:
     basis1: np.ndarray
     phase_applied: float
 
-    @property
-    def psi_ambient(self) -> np.ndarray:
-        """psi expanded in the ambient space."""
-        return self.psi[0] * self.basis0 + self.psi[1] * self.basis1
-
-    @property
-    def phi_ambient(self) -> np.ndarray:
-        """Phase-aligned phi expanded in the ambient space."""
-        return self.phi[0] * self.basis0 + self.phi[1] * self.basis1
-
-
-def make_pair(omega) -> SymmetricPair:
-    """Build the canonical pair in the standard 2-dim basis.
-
-    The overlap is cos^2(omega/2) - sin^2(omega/2) = cos(omega).
-    """
-    omega = _as_angle(omega)
-    c, s = math.cos(omega.half), math.sin(omega.half)
-    return SymmetricPair(
-        omega=omega,
-        psi=np.array([c, s], dtype=complex),
-        phi=np.array([c, -s], dtype=complex),
-        basis0=np.array([1.0, 0.0], dtype=complex),
-        basis1=np.array([0.0, 1.0], dtype=complex),
-        phase_applied=0.0,
-    )
-
 
 def reduce_pair(psi, phi) -> SymmetricPair:
     """Reduce an arbitrary-dimension normalized pair to canonical form.
@@ -146,18 +115,3 @@ def reduce_pair(psi, phi) -> SymmetricPair:
         phase_applied=phase,
     )
 
-
-def product_state(s, copies: int) -> np.ndarray:
-    """m-fold Kronecker power of a qubit state, dim 2^m.
-
-    The overlap law <s^m|t^m> = <s|t>^m holds to roundoff.
-    """
-    if not (1 <= copies <= MAX_COPIES):
-        raise CopiesOutOfRange(f"copies must lie in [1, {MAX_COPIES}], got {copies}")
-    s = np.asarray(s, dtype=complex)
-    if s.ndim != 1 or s.size != 2:
-        raise DimMismatch(f"expected a dim-2 state, got shape {s.shape}")
-    out = s
-    for _ in range(copies - 1):
-        out = kron(out, s)
-    return out

@@ -12,17 +12,15 @@ import time
 
 import numpy as np
 
+from _reference import ambient, cos_beta_tan_form, make_pair, product_state
 from pbrkit import (
     OverlapAngle,
     build_C,
     build_M,
-    cos_beta_closed_form,
-    cos_beta_tan_form,
+    cos_beta_raw,
     grouping_plan,
-    make_pair,
     min_n_pbr,
     outcome_matrix,
-    product_state,
     reduce_pair,
     sample_outcomes,
     solve_beta,
@@ -55,9 +53,9 @@ def _gate(number, label, limit_s, body):
 
 def test_acceptance_1_feasibility_boundary():
     def body(check):
-        at_boundary = cos_beta_closed_form(OverlapAngle.from_cos(BOUNDARY))
+        at_boundary = solve_beta(OverlapAngle.from_cos(BOUNDARY)).cos_beta_raw
         check(abs(at_boundary - 1.0) <= 1e-12, f"cos_beta({BOUNDARY}) = {at_boundary}, not 1")
-        at_zero = cos_beta_closed_form(OverlapAngle.from_cos(0.0))
+        at_zero = solve_beta(OverlapAngle.from_cos(0.0)).cos_beta_raw
         check(abs(at_zero + 1.0) <= 1e-12, f"cos_beta(0) = {at_zero}, not -1")
         for c in (0.72, 0.8, 0.9, 0.99):
             sol = solve_beta(OverlapAngle.from_cos(c))
@@ -72,7 +70,7 @@ def test_acceptance_2_closed_form_equivalence():
         worst = 0.0
         for c in np.linspace(0.005, 0.995, 200):
             omega = OverlapAngle.from_cos(float(c))
-            worst = max(worst, abs(cos_beta_closed_form(omega) - cos_beta_tan_form(omega)))
+            worst = max(worst, abs(cos_beta_raw(omega.cos) - cos_beta_tan_form(omega)))
         check(worst <= 1e-10, f"closed forms disagree by {worst:.3e}")
 
     _gate(2, "closed-form equivalence", 1.0, body)
@@ -89,7 +87,7 @@ def test_acceptance_3_zero_diagonal_construction():
             m = build_M(sol.alpha, sol.beta)
             residual = np.abs(m.conj().T @ m - np.eye(4)).max()
             check(residual <= 1e-12, f"M residual {residual:.3e} at cos_omega = {c}")
-            sums = outcome_matrix(sol.omega, sol.alpha, sol.beta).p.sum(axis=0)
+            sums = outcome_matrix(sol.omega, sol.alpha, sol.beta).sum(axis=0)
             check(np.abs(sums - 1.0).max() <= 1e-12, f"column sums off at cos_omega = {c}")
 
     _gate(3, "zero-diagonal construction", 1.0, body)
@@ -149,7 +147,7 @@ def test_acceptance_6_monte_carlo_statistics():
             tally = sample_outcomes(p, j, 100_000, 4242 + j)
             check(tally.counts[j - 1] == 0, f"forbidden outcome fired for preparation {j}")
             empirical = np.asarray(tally.counts) / tally.trials
-            tv = 0.5 * float(np.abs(empirical - p.p[:, j - 1]).sum())
+            tv = 0.5 * float(np.abs(empirical - p[:, j - 1]).sum())
             check(tv < 0.01, f"TV distance {tv:.4f} for preparation {j}")
         # orthogonal case: deterministic anti-diagonal permutation
         sol0 = solve_measurement(OverlapAngle.from_cos(0.0))
@@ -185,10 +183,9 @@ def test_acceptance_7_reduction_round_trip():
                 abs(pair.omega.cos - modulus) <= 1e-10,
                 f"cos recovery off by {abs(pair.omega.cos - modulus):.3e}",
             )
-            err_psi = float(np.abs(pair.psi_ambient - psi).max())
-            err_phi = float(
-                np.abs(pair.phi_ambient - phi * np.exp(-1j * pair.phase_applied)).max()
-            )
+            psi_ambient, phi_ambient = ambient(pair)
+            err_psi = float(np.abs(psi_ambient - psi).max())
+            err_phi = float(np.abs(phi_ambient - phi * np.exp(-1j * pair.phase_applied)).max())
             check(err_psi <= 1e-10, f"psi reconstruction off by {err_psi:.3e}")
             check(err_phi <= 1e-10, f"phi reconstruction off by {err_phi:.3e}")
 

@@ -274,6 +274,27 @@ def test_reduce_rejects_non_finite(tmp_path, capsys, bad):
     assert captured.err.startswith("error: psi norm deviates by ")
 
 
+JSON_BOOLEANS = {
+    "psi_entry": ('{"dim": 2, "psi": [[true, false], [false, false]], "phi": [[0.6, 0], [0.8, 0]]}',
+                  "'psi[0]' holds non-numeric values"),
+    "phi_imag": ('{"dim": 2, "psi": [[1, 0], [0, 0]], "phi": [[0.6, 0], [0.8, false]]}',
+                 "'phi[1]' holds non-numeric values"),
+    "dim_true": ('{"dim": true, "psi": [[1, 0]], "phi": [[0.6, 0]]}', "integer 'dim'"),
+    "dim_false": ('{"dim": false, "psi": [], "phi": []}', "integer 'dim'"),
+}
+
+
+@pytest.mark.parametrize("text,message", JSON_BOOLEANS.values(), ids=JSON_BOOLEANS)
+def test_reduce_rejects_json_booleans(tmp_path, capsys, text, message):
+    # float(True) is 1.0 and True is an int, so a boolean would pass for a number
+    path = tmp_path / "bool.json"
+    path.write_text(text)
+    assert cli.main(["reduce", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_reduce_missing_file(capsys):
     assert cli.main(["reduce", "--in", "/nonexistent/pair.json"]) == 1
     assert "error" in capsys.readouterr().err
@@ -317,7 +338,7 @@ def _solved(c, which):
     sol = solve_measurement(angle)
     if which == "M":
         return build_M(sol.alpha, sol.beta)
-    return build_C(angle) if which == "C" else outcome_matrix(angle, sol.alpha, sol.beta).p
+    return build_C(angle) if which == "C" else outcome_matrix(angle, sol.alpha, sol.beta)
 
 
 def _basis(dim, c, seed, which):

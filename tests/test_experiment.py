@@ -70,7 +70,7 @@ def test_sample_empirical_frequencies_converge():
         for j in (1, 2, 3, 4):
             tally = sample_outcomes(p, j, 100_000, 1000 * k + j)
             empirical = np.asarray(tally.counts) / tally.trials
-            tv = 0.5 * np.abs(empirical - p.p[:, j - 1]).sum()
+            tv = 0.5 * np.abs(empirical - p[:, j - 1]).sum()
             assert tv < 0.01
 
 

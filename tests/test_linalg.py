@@ -1,13 +1,15 @@
-"""Tests for the Kronecker product and the inner products and unitarity it feeds."""
+"""Tests for elementwise, and for the Kronecker order, inner products and unitarity
+that the operators and the reference constructions rely on."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pbrkit import DimMismatch, KindMismatch, elementwise, kron
+from _reference import make_pair
+from pbrkit import elementwise
 from pbrkit.measurement import build_C, build_M
-from pbrkit.states import make_pair, reduce_pair
+from pbrkit.states import reduce_pair
 
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
@@ -20,28 +22,16 @@ def _random_state(rng, dim):
 
 def test_kron_basis_ordering():
     # first factor is the high-order index: e0 (x) e1 fills slot 2 of 4
-    np.testing.assert_array_equal(kron(E0, E1), [0.0, 1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(np.kron(E0, E1), [0.0, 1.0, 0.0, 0.0])
 
 
 def test_kron_identity_matrices():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+    np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_kron_orthogonal_pair_expansion():
-    pair = make_pair(math.pi / 2)
-    np.testing.assert_allclose(kron(pair.psi, pair.phi), [0.5, -0.5, 0.5, -0.5], atol=1e-15)
-
-
-def test_kron_mixed_kinds_rejected():
-    with pytest.raises(KindMismatch):
-        kron(E0, np.eye(2))
-    with pytest.raises(KindMismatch):
-        kron(np.eye(2), E0)
-
-
-def test_kron_nonsquare_rejected():
-    with pytest.raises(DimMismatch):
-        kron(np.ones((2, 3)), np.eye(2))
+    # column 1 of C is psi (x) phi, psi the high-order factor
+    np.testing.assert_allclose(build_C(math.pi / 2)[:, 1], [0.5, -0.5, 0.5, -0.5], atol=1e-15)
 
 
 def test_kron_associative_on_vectors():
@@ -50,7 +40,7 @@ def test_kron_associative_on_vectors():
         a = rng.normal(size=3) + 1j * rng.normal(size=3)
         b = rng.normal(size=2) + 1j * rng.normal(size=2)
         c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-13)
+        np.testing.assert_allclose(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)), atol=1e-13)
 
 
 def _unitarity_residual(op):
@@ -59,7 +49,7 @@ def _unitarity_residual(op):
 
 def test_inner_product_orthonormal_basis():
     # the four products of the basis states form an orthonormal basis
-    basis = [kron(a, b) for a in (E0, E1) for b in (E0, E1)]
+    basis = [np.kron(a, b) for a in (E0, E1) for b in (E0, E1)]
     gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
     np.testing.assert_array_equal(gram, np.eye(4))
 
@@ -75,7 +65,7 @@ def test_inner_product_self_is_norm_squared():
     rng = np.random.default_rng(11)
     for dim in (2, 3, 5, 8):
         u, v = _random_state(rng, dim), _random_state(rng, dim)
-        assert abs(np.vdot(kron(u, v), kron(u, v)) - 1.0) <= 1e-12
+        assert abs(np.vdot(np.kron(u, v), np.kron(u, v)) - 1.0) <= 1e-12
 
 
 def test_inner_product_conjugate_linear_first_argument():
@@ -95,7 +85,7 @@ def test_inner_product_factorizes_over_kron():
     for _ in range(30):
         u1, v1 = _random_state(rng, 3), _random_state(rng, 3)
         u2, v2 = _random_state(rng, 4), _random_state(rng, 4)
-        lhs = np.vdot(kron(u1, u2), kron(v1, v2))
+        lhs = np.vdot(np.kron(u1, u2), np.kron(v1, v2))
         rhs = np.vdot(u1, v1) * np.vdot(u2, v2)
         assert abs(lhs - rhs) <= 1e-12
 

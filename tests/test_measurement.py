@@ -6,17 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from _reference import cos_beta_tan_form, make_pair
 from pbrkit import (
     FEASIBILITY_BOUNDARY,
     InconsistentPhases,
     OverlapAngle,
     build_C,
     build_M,
-    cos_beta_closed_form,
-    cos_beta_tan_form,
+    cos_beta_raw,
     diagonal_residual,
-    kron,
-    make_pair,
     outcome_matrix,
     solve_alpha,
     solve_beta,
@@ -28,7 +26,7 @@ ROOT2 = math.sqrt(2.0)
 
 def test_build_C_first_column_is_psi_psi():
     pair = make_pair(0.6)
-    np.testing.assert_allclose(build_C(0.6)[:, 0], kron(pair.psi, pair.psi), atol=1e-15)
+    np.testing.assert_allclose(build_C(0.6)[:, 0], np.kron(pair.psi, pair.psi), atol=1e-15)
 
 
 def test_build_C_columns_unit_norm():
@@ -124,11 +122,11 @@ def test_solve_beta_frozen_values():
 def test_cos_beta_forms_agree():
     for c in np.linspace(0.005, 0.995, 200):
         omega = OverlapAngle.from_cos(float(c))
-        assert abs(cos_beta_closed_form(omega) - cos_beta_tan_form(omega)) <= 1e-10
+        assert abs(cos_beta_raw(omega.cos) - cos_beta_tan_form(omega)) <= 1e-10
 
 
 def test_cos_beta_monotone_in_cos_omega():
-    grid = [cos_beta_closed_form(OverlapAngle.from_cos(float(c)))
+    grid = [solve_beta(OverlapAngle.from_cos(float(c))).cos_beta_raw
             for c in np.linspace(0.01, 0.99, 99)]
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
@@ -193,7 +191,7 @@ def test_outcome_matrix_columns_stochastic():
     for _ in range(20):
         omega = OverlapAngle(rng.uniform(0.05, math.pi / 2))
         alpha, beta = rng.uniform(-math.pi, math.pi, size=2)
-        p = outcome_matrix(omega, alpha, beta).p
+        p = outcome_matrix(omega, alpha, beta)
         assert p.min() >= 0.0 and p.max() <= 1.0 + 1e-12
         np.testing.assert_allclose(p.sum(axis=0), np.ones(4), atol=1e-12)
 
@@ -201,17 +199,17 @@ def test_outcome_matrix_columns_stochastic():
 def test_outcome_matrix_zero_diagonal_at_solution():
     for c in (0.0, 0.2, 0.5, ROOT2 / 2):
         sol = solve_measurement(OverlapAngle.from_cos(c))
-        p = outcome_matrix(sol.omega, sol.alpha, sol.beta).p
+        p = outcome_matrix(sol.omega, sol.alpha, sol.beta)
         assert np.diag(p).max() <= 1e-10
 
 
 def test_outcome_matrix_anti_diagonal_at_orthogonal():
-    p = outcome_matrix(math.pi / 2, 0.0, math.pi).p
+    p = outcome_matrix(math.pi / 2, 0.0, math.pi)
     np.testing.assert_allclose(p, np.fliplr(np.eye(4)), atol=1e-12)
 
 
 def test_outcome_matrix_phase_periodicity():
     omega = OverlapAngle.from_cos(0.4)
-    base = outcome_matrix(omega, 0.3, -0.9).p
-    shifted = outcome_matrix(omega, 0.3 + 2 * math.pi, -0.9 + 2 * math.pi).p
+    base = outcome_matrix(omega, 0.3, -0.9)
+    shifted = outcome_matrix(omega, 0.3 + 2 * math.pi, -0.9 + 2 * math.pi)
     np.testing.assert_allclose(shifted, base, atol=1e-12)

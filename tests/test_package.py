@@ -1,0 +1,17 @@
+"""Tests for the package namespace."""
+
+import types
+
+import pbrkit
+
+
+def test_public_surface():
+    # __all__ names exactly the public non-module names that pbrkit binds
+    assert all(hasattr(pbrkit, name) for name in pbrkit.__all__)
+    bound = {
+        name
+        for name, value in vars(pbrkit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(pbrkit.__all__)) == len(pbrkit.__all__)
+    assert set(pbrkit.__all__) - {"__version__"} == bound

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from _reference import make_pair, product_state
 from pbrkit import (
     FEASIBILITY_BOUNDARY,
     AngleOutOfRange,
@@ -14,10 +15,8 @@ from pbrkit import (
     alt_log_bound_raw,
     group_sizes,
     grouping_plan,
-    make_pair,
     min_n_pbr,
     pbr_counts,
-    product_state,
     reduce_pair,
     solve_beta,
 )
