@@ -21,11 +21,8 @@ from .experiment import (
     MAX_TRIALS,
     PROB_FLOOR,
     ZERO_DIAGONAL_TOL,
-    ContradictionReport,
-    OutcomeCounts,
     contradiction_report,
     render_report,
-    report_as_dict,
     sample_outcomes,
 )
 from .linalg import TOL_NORM, elementwise
@@ -65,7 +62,6 @@ __all__ = [
     "BadEpsilon",
     "BadPreparation",
     "BOUNDARY_TOL",
-    "ContradictionReport",
     "DegeneratePair",
     "DEGENERACY_THRESHOLD",
     "DimMismatch",
@@ -75,7 +71,6 @@ __all__ = [
     "InconsistentPhases",
     "MAX_TRIALS",
     "MeasurementSolution",
-    "OutcomeCounts",
     "OverlapAngle",
     "PROB_FLOOR",
     "SymmetricPair",
@@ -96,7 +91,6 @@ __all__ = [
     "pbr_counts",
     "reduce_pair",
     "render_report",
-    "report_as_dict",
     "sample_outcomes",
     "solve_alpha",
     "solve_beta",

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .errors import DegeneratePair, ToolkitError
-from .experiment import MAX_TRIALS, contradiction_report, render_report, report_as_dict, sample_outcomes
+from .experiment import MAX_TRIALS, contradiction_report, render_report, sample_outcomes
 from .linalg import TOL_NORM, elementwise
 from .measurement import build_C, build_M, cos_beta_raw, outcome_matrix, solve_measurement, within_boundary
 from .reduction import alt_log_bound_raw, group_sizes, grouping_plan, pbr_counts
@@ -189,12 +189,13 @@ def _parse_state(obj: dict, name: str, dim: int) -> np.ndarray:
     for k, entry in enumerate(entries):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise _UsageError(f"'{name}[{k}]' must be a [re, im] pair")
+        # float() would take JSON true as 1.0 and "0.6" as 0.6
+        if not all(type(x) in (int, float) for x in entry):
+            raise _UsageError(f"'{name}[{k}]' holds non-numeric values")
         try:
-            if any(isinstance(x, bool) for x in entry):  # float() takes JSON true as 1.0
-                raise TypeError
             vec[k] = complex(float(entry[0]), float(entry[1]))
-        except (TypeError, ValueError):
-            raise _UsageError(f"'{name}[{k}]' holds non-numeric values") from None
+        except OverflowError:
+            raise _UsageError(f"'{name}[{k}]' holds an integer beyond float range") from None
     return vec
 
 
@@ -202,7 +203,7 @@ def _load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, an over-long integer literal, or bytes that are not UTF-8
         raise _UsageError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict) or type(obj.get("dim")) is not int:  # a bool is an int too
         raise _UsageError("input must be an object with integer 'dim' and lists 'psi', 'phi'")
@@ -249,26 +250,20 @@ def cmd_simulate(args) -> int:
         raise _UsageError(f"trials must be <= 2**63 - 1, got {args.trials}")
     if args.seed < 0:
         raise _UsageError(f"seed must be >= 0, got {args.seed}")
-    angle = OverlapAngle.from_cos(args.cos_omega)
-    sol = solve_measurement(angle)
-    effective = angle
-    if not sol.feasible:
-        plan = grouping_plan(angle)
-        effective = plan.effective_omega
-        sol = solve_measurement(effective)
+    plan = grouping_plan(OverlapAngle.from_cos(args.cos_omega))
+    effective = plan.effective_omega
+    sol = solve_measurement(effective)
+    if plan.n > 2:
         print(f"reduced: n={plan.n}, effective cos = {_g17(effective.cos)}")
     probs = outcome_matrix(effective, sol.alpha, sol.beta)
     print(f"cos_omega = {_g17(args.cos_omega)}, beta = {_g17(sol.beta)}, alpha = {_g17(sol.alpha)}")
     print(f"trials = {args.trials} per preparation, base seed = {args.seed}")
     fired = 0
     for j in (1, 2, 3, 4):
-        tally = sample_outcomes(probs, j, args.trials, args.seed + (j - 1))
-        fired += tally.counts[j - 1]
-        joined = ", ".join(str(k) for k in tally.counts)
-        print(
-            f"preparation {j}: counts = [{joined}],"
-            f" forbidden outcome {j} count = {tally.counts[j - 1]}"
-        )
+        counts = sample_outcomes(probs, j, args.trials, args.seed + (j - 1))
+        fired += counts[j - 1]
+        joined = ", ".join(str(k) for k in counts)
+        print(f"preparation {j}: counts = [{joined}], forbidden outcome {j} count = {counts[j - 1]}")
     if fired:
         print(f"statistical contradiction: forbidden outcomes fired {fired} times")
         return EXIT_CONTRADICTION
@@ -277,11 +272,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rep = contradiction_report(OverlapAngle.from_cos(args.cos_omega), args.epsilon)
-    if args.as_json:
-        print(json.dumps(report_as_dict(rep), indent=2, sort_keys=True))
-    else:
-        print(render_report(rep))
+    record = contradiction_report(OverlapAngle.from_cos(args.cos_omega), args.epsilon)
+    print(json.dumps(record, indent=2, sort_keys=True) if args.as_json else render_report(record))
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InconsistentPhases
-from .states import OverlapAngle, _as_angle
+from .states import _as_angle
 
 # cos(omega) above sqrt(2)/2 admits no real beta.  The boundary is inclusive
 # within 1e-12, where cos(beta) is clamped onto [-1, 1].
@@ -47,7 +47,6 @@ class MeasurementSolution:
     [-1, 1] the solve is infeasible and ``beta``/``alpha`` stay None.
     """
 
-    omega: OverlapAngle
     beta: float | None
     alpha: float | None
     feasible: bool
@@ -117,7 +116,7 @@ def solve_beta(omega) -> MeasurementSolution:
     beta = None
     if feasible:
         beta = math.acos(min(1.0, max(-1.0, raw)))
-    return MeasurementSolution(omega=omega, beta=beta, alpha=None, feasible=feasible, cos_beta_raw=raw)
+    return MeasurementSolution(beta=beta, alpha=None, feasible=feasible, cos_beta_raw=raw)
 
 
 def solve_alpha(omega, beta: float) -> float:
@@ -142,10 +141,11 @@ def solve_alpha(omega, beta: float) -> float:
 
 def solve_measurement(omega) -> MeasurementSolution:
     """solve_beta plus, when feasible, the matching alpha."""
+    omega = _as_angle(omega)
     sol = solve_beta(omega)
     if not sol.feasible:
         return sol
-    return replace(sol, alpha=solve_alpha(sol.omega, sol.beta))
+    return replace(sol, alpha=solve_alpha(omega, sol.beta))
 
 
 def diagonal_residual(omega, alpha: float, beta: float) -> complex:

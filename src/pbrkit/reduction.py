@@ -32,7 +32,6 @@ _pow2 = partial(math.pow, 2.0)
 class GroupingPlan:
     """Smallest even split of n devices with a feasible effective overlap."""
 
-    omega: OverlapAngle
     n: int
     group_size: int
     effective_omega: OverlapAngle
@@ -110,11 +109,9 @@ def grouping_plan(omega) -> GroupingPlan:
 
     :func:`group_sizes` at one overlap.
     """
-    omega = _as_angle(omega)
-    c = omega.cos
+    c = _as_angle(omega).cos
     m = int(group_sizes([c])[0])
-    effective = OverlapAngle(math.acos(c**m))
-    return GroupingPlan(omega=omega, n=2 * m, group_size=m, effective_omega=effective)
+    return GroupingPlan(n=2 * m, group_size=m, effective_omega=OverlapAngle(math.acos(c**m)))
 
 
 def _pbr_condition(tan_half: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -61,17 +61,15 @@ def _as_angle(omega) -> OverlapAngle:
 class SymmetricPair:
     """A state pair in canonical symmetric form.
 
-    ``psi`` and ``phi`` hold the exact 2-dim coordinates
-    (cos(omega/2), +/- sin(omega/2)); ``basis0`` and ``basis1`` are the
-    orthonormal plane vectors in the ambient space.  ``phase_applied`` is
-    the global phase stripped from the second state to make the overlap
-    real and nonnegative: the stored pair represents the inputs
+    ``basis0`` and ``basis1`` are the orthonormal plane vectors in the
+    ambient space; in them the pair has the coordinates
+    (cos(omega/2), +/- sin(omega/2)).  ``phase_applied`` is the global
+    phase stripped from the second state to make the overlap real and
+    nonnegative: the stored pair represents the inputs
     (psi, phi * exp(-1j * phase_applied)).
     """
 
     omega: OverlapAngle
-    psi: np.ndarray
-    phi: np.ndarray
     basis0: np.ndarray
     basis1: np.ndarray
     phase_applied: float
@@ -84,9 +82,9 @@ def reduce_pair(psi, phi) -> SymmetricPair:
     ``phase_applied``), after which basis0 is the normalized sum and basis1
     the normalized difference of the two states.  That choice makes the
     pair symmetric about basis0 and fixes the basis1 sign: the psi
-    coefficient along basis1 is sin(omega/2) > 0.  Re-expanding the stored
-    coordinates in (basis0, basis1) reproduces the inputs up to the
-    recorded phase.
+    coefficient along basis1 is sin(omega/2) > 0.  Re-expanding the
+    coordinates (cos(omega/2), +/- sin(omega/2)) in (basis0, basis1)
+    reproduces the inputs up to the recorded phase.
     """
     psi = np.asarray(psi, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
@@ -108,8 +106,6 @@ def reduce_pair(psi, phi) -> SymmetricPair:
     c, s = math.cos(omega.half), math.sin(omega.half)
     return SymmetricPair(
         omega=omega,
-        psi=np.array([c, s], dtype=complex),
-        phi=np.array([c, -s], dtype=complex),
         basis0=(psi + phi_aligned) / (2.0 * c),
         basis1=(psi - phi_aligned) / (2.0 * s),
         phase_applied=phase,

@@ -8,6 +8,7 @@ ambient re-expansion checks the ``reduce_pair`` round trip.
 
 import math
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,29 +26,26 @@ def _angle(omega) -> OverlapAngle:
     return omega if isinstance(omega, OverlapAngle) else OverlapAngle(float(omega))
 
 
-def make_pair(omega) -> SymmetricPair:
-    """The canonical pair in the standard 2-dim basis.
+class Pair(NamedTuple):
+    omega: OverlapAngle
+    psi: np.ndarray
+    phi: np.ndarray
+
+
+def make_pair(omega) -> Pair:
+    """The canonical pair (cos(omega/2), +/- sin(omega/2)) in the standard 2-dim basis.
 
     The overlap is cos^2(omega/2) - sin^2(omega/2) = cos(omega).
     """
     omega = _angle(omega)
     c, s = math.cos(omega.half), math.sin(omega.half)
-    return SymmetricPair(
-        omega=omega,
-        psi=np.array([c, s], dtype=complex),
-        phi=np.array([c, -s], dtype=complex),
-        basis0=np.array([1.0, 0.0], dtype=complex),
-        basis1=np.array([0.0, 1.0], dtype=complex),
-        phase_applied=0.0,
-    )
+    return Pair(omega, np.array([c, s], dtype=complex), np.array([c, -s], dtype=complex))
 
 
 def ambient(pair: SymmetricPair) -> tuple[np.ndarray, np.ndarray]:
-    """psi and the phase-aligned phi, expanded in the ambient space."""
-    return (
-        pair.psi[0] * pair.basis0 + pair.psi[1] * pair.basis1,
-        pair.phi[0] * pair.basis0 + pair.phi[1] * pair.basis1,
-    )
+    """psi and the phase-aligned phi, the canonical pair expanded in the ambient space."""
+    c, s = math.cos(pair.omega.half), math.sin(pair.omega.half)
+    return c * pair.basis0 + s * pair.basis1, c * pair.basis0 - s * pair.basis1
 
 
 def product_state(s, copies: int) -> np.ndarray:

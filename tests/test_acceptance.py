@@ -79,15 +79,16 @@ def test_acceptance_2_closed_form_equivalence():
 def test_acceptance_3_zero_diagonal_construction():
     def body(check):
         for c in np.linspace(0.0, BOUNDARY, 50):
-            sol = solve_measurement(OverlapAngle.from_cos(float(c)))
+            angle = OverlapAngle.from_cos(float(c))
+            sol = solve_measurement(angle)
             check(sol.feasible, f"{c} infeasible inside the boundary")
-            amplitudes = build_M(sol.alpha, sol.beta) @ build_C(sol.omega)
+            amplitudes = build_M(sol.alpha, sol.beta) @ build_C(angle)
             diag = np.abs(np.diag(amplitudes)).max()
             check(diag <= 1e-10, f"diagonal {diag:.3e} at cos_omega = {c}")
             m = build_M(sol.alpha, sol.beta)
             residual = np.abs(m.conj().T @ m - np.eye(4)).max()
             check(residual <= 1e-12, f"M residual {residual:.3e} at cos_omega = {c}")
-            sums = outcome_matrix(sol.omega, sol.alpha, sol.beta).sum(axis=0)
+            sums = outcome_matrix(angle, sol.alpha, sol.beta).sum(axis=0)
             check(np.abs(sums - 1.0).max() <= 1e-12, f"column sums off at cos_omega = {c}")
 
     _gate(3, "zero-diagonal construction", 1.0, body)
@@ -141,23 +142,22 @@ def test_acceptance_5_minimal_n_comparison():
 
 def test_acceptance_6_monte_carlo_statistics():
     def body(check):
-        sol = solve_measurement(OverlapAngle.from_cos(0.5))
-        p = outcome_matrix(sol.omega, sol.alpha, sol.beta)
+        angle = OverlapAngle.from_cos(0.5)
+        sol = solve_measurement(angle)
+        p = outcome_matrix(angle, sol.alpha, sol.beta)
         for j in (1, 2, 3, 4):
-            tally = sample_outcomes(p, j, 100_000, 4242 + j)
-            check(tally.counts[j - 1] == 0, f"forbidden outcome fired for preparation {j}")
-            empirical = np.asarray(tally.counts) / tally.trials
+            counts = sample_outcomes(p, j, 100_000, 4242 + j)
+            check(counts[j - 1] == 0, f"forbidden outcome fired for preparation {j}")
+            empirical = np.asarray(counts) / 100_000
             tv = 0.5 * float(np.abs(empirical - p[:, j - 1]).sum())
             check(tv < 0.01, f"TV distance {tv:.4f} for preparation {j}")
         # orthogonal case: deterministic anti-diagonal permutation
-        sol0 = solve_measurement(OverlapAngle.from_cos(0.0))
-        p0 = outcome_matrix(sol0.omega, sol0.alpha, sol0.beta)
+        orthogonal = OverlapAngle.from_cos(0.0)
+        sol0 = solve_measurement(orthogonal)
+        p0 = outcome_matrix(orthogonal, sol0.alpha, sol0.beta)
         for j, hit in ((1, 4), (2, 3), (3, 2), (4, 1)):
-            tally = sample_outcomes(p0, j, 1000, j)
-            check(
-                tally.counts[hit - 1] == 1000,
-                f"preparation {j} did not map to outcome {hit}: {tally.counts}",
-            )
+            counts = sample_outcomes(p0, j, 1000, j)
+            check(counts[hit - 1] == 1000, f"preparation {j} did not map to outcome {hit}: {counts}")
 
     _gate(6, "monte-carlo statistics", 10.0, body)
 

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pbrkit import cli
-from pbrkit.experiment import OutcomeCounts
 from pbrkit.measurement import FEASIBILITY_BOUNDARY, build_C, build_M, outcome_matrix, solve_measurement
 from pbrkit.states import OverlapAngle, reduce_pair
 
@@ -235,11 +234,23 @@ def test_reduce_degenerate_pair(tmp_path, capsys):
     assert "states identical up to phase" in capsys.readouterr().err
 
 
-def test_reduce_malformed_json(tmp_path, capsys):
+MALFORMED_JSON = {
+    "not_json": b"{not json",
+    # json.load refuses integer literals of more than 4300 digits with a ValueError
+    "long_entry": b'{"dim": 2, "psi": [[1' + b"0" * 4400 + b', 0], [0, 0]], "phi": [[0.6, 0], [0.8, 0]]}',
+    "long_dim": b'{"dim": 1' + b"0" * 4400 + b', "psi": [], "phi": []}',
+    "not_utf8": '{"dim": 2, "psi": [[1, 0], [0, 0]], "phi": [[0, 0], [1, 0]], "x": "\xe9"}'.encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+def test_reduce_malformed_json(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     assert cli.main(["reduce", "--in", str(path)]) == 1
-    assert "invalid JSON" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: invalid JSON (")
 
 
 def test_reduce_schema_violation(tmp_path, capsys):
@@ -274,19 +285,26 @@ def test_reduce_rejects_non_finite(tmp_path, capsys, bad):
     assert captured.err.startswith("error: psi norm deviates by ")
 
 
-JSON_BOOLEANS = {
+JSON_NON_NUMBERS = {
     "psi_entry": ('{"dim": 2, "psi": [[true, false], [false, false]], "phi": [[0.6, 0], [0.8, 0]]}',
                   "'psi[0]' holds non-numeric values"),
     "phi_imag": ('{"dim": 2, "psi": [[1, 0], [0, 0]], "phi": [[0.6, 0], [0.8, false]]}',
                  "'phi[1]' holds non-numeric values"),
     "dim_true": ('{"dim": true, "psi": [[1, 0]], "phi": [[0.6, 0]]}', "integer 'dim'"),
     "dim_false": ('{"dim": false, "psi": [], "phi": []}', "integer 'dim'"),
+    "psi_strings": ('{"dim": 2, "psi": [["0.6", " 0 "], ["8e-1", "0"]], "phi": [[1, 0], [0, 0]]}',
+                    "'psi[0]' holds non-numeric values"),
+    "phi_string_nan": ('{"dim": 2, "psi": [[1, 0], [0, 0]], "phi": [[0.6, 0], [0.8, "nan"]]}',
+                       "'phi[1]' holds non-numeric values"),
+    "psi_beyond_float": ('{"dim": 2, "psi": [[1' + "0" * 400 + ', 0], [0, 0]], "phi": [[0.6, 0], [0.8, 0]]}',
+                         "'psi[0]' holds an integer beyond float range"),
 }
 
 
-@pytest.mark.parametrize("text,message", JSON_BOOLEANS.values(), ids=JSON_BOOLEANS)
+@pytest.mark.parametrize("text,message", JSON_NON_NUMBERS.values(), ids=JSON_NON_NUMBERS)
 def test_reduce_rejects_json_booleans(tmp_path, capsys, text, message):
-    # float(True) is 1.0 and True is an int, so a boolean would pass for a number
+    # float() takes true as 1.0 and "0.6" as 0.6, True is an int, and an
+    # integer past 1.8e308 overflows float(): only JSON numbers in float range pass
     path = tmp_path / "bool.json"
     path.write_text(text)
     assert cli.main(["reduce", "--in", str(path)]) == 1
@@ -319,6 +337,38 @@ REDUCE_PAIRS = [
      "f5cbce3d91c779ba0e51db0702f7adcf764a9ddf64623bfb0481028f6b7d9bb6"),
     (40, *_wide_pair(40), "5e75b9e865459e264655accd6b073133e6a5547407aed0c33dd329865a9e353b"),
 ]
+
+
+# SHA-256 of stdout, taken while the report was a dataclass with its own JSON
+# converter and simulate solved at the raw overlap before grouping.
+PINNED_RUNS = {
+    "report": ["report", "--epsilon", "0.2"],
+    "report-json": ["report", "--epsilon", "0.2", "--json"],
+    "simulate": ["simulate", "--trials", "1000", "--seed", "3"],
+}
+RUN_DIGESTS = [
+    ("report", "0", "6610a8565633b90b4dfa88929cc9be74a6b6c9cea1aae28d7c6da134b36e4e47"),
+    ("report-json", "0", "f5fc130dc35feb919af46ab2679aa8eb26ae30a1e173bb16a0e42f78b6557a14"),
+    ("simulate", "0", "f877de1bab1f10fc25530e64e580b03dc51a8c12816aa4cd179cba447b53614e"),
+    ("report", "0.5", "a83b86e514516769ed555e52e658b1bb5827141fe18d86ee9bf9b29cf7918710"),
+    ("report-json", "0.5", "edd0c4c46d968dee1f94f6d4be92865087912dbb79115c488ef9fb1dec693544"),
+    ("simulate", "0.5", "3eca6e14bda3275a2f097f78146387e71d79a754e6a15a9bc0a849e06871aa91"),
+    ("report", repr(ROOT2 / 2), "3a7909974c722d2e99fa477b72587bf7d7431638dcabb6e712131d9755cc9d02"),
+    ("report-json", repr(ROOT2 / 2), "ef10caeda090b5301b9fc4c5b89677d9880062869c91463786e5f98c9e4ee500"),
+    ("simulate", repr(ROOT2 / 2), "64751e3201621bc831692599b15aa481c54dcddfe7956cfa53f11060efd6aa90"),
+    ("report", "0.9", "cc9888a78f0793c8607a09403e3d17e83fd26c7dc78f249b43021a990e9925f9"),
+    ("report-json", "0.9", "fa7150ca5a8344b1ecab21f693c66a9dd57e164773aef0d7cf36a75ef6dd3440"),
+    ("simulate", "0.9", "508cc16287260785a8f4079c010d1fa9e5b4dbb0dbbffff7ca6b4ed80d9a45f9"),
+    ("report", "0.999", "c5f289642c701258fee885c667f967d2d76295abbea63ea6d539d5c81c6d1ef2"),
+    ("report-json", "0.999", "b04c1923b195a72c196b8980ea2c729d97b7a61bcca4cf63232cd5393f408bec"),
+    ("simulate", "0.999", "89beba116899c54691add953bccb9e3c0a9b50c2f9147c775248387559861a56"),
+]
+
+
+@pytest.mark.parametrize("run,cos_omega,digest", RUN_DIGESTS)
+def test_report_simulate_bytes_pinned(capsys, run, cos_omega, digest):
+    assert cli.main([*PINNED_RUNS[run], "--cos-omega", cos_omega]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("cos_omega,digest", SOLVE_DIGESTS)
@@ -439,9 +489,7 @@ def test_simulate_statistical_contradiction_exit(monkeypatch, capsys):
     def fake(p, preparation, trials, seed):
         counts = [0, 0, 0, 0]
         counts[preparation - 1] = trials
-        return OutcomeCounts(
-            counts=tuple(counts), trials=trials, preparation=preparation, seed=seed
-        )
+        return tuple(counts)
 
     monkeypatch.setattr(cli, "sample_outcomes", fake)
     assert cli.main(["simulate", "--cos-omega", "0.5", "--trials", "10", "--seed", "1"]) == 4

@@ -157,17 +157,19 @@ def test_solve_alpha_rejects_wrong_beta():
 
 def test_solve_measurement_unit_phase_modulus():
     for c in np.linspace(0.0, ROOT2 / 2, 50):
-        sol = solve_measurement(OverlapAngle.from_cos(float(c)))
+        angle = OverlapAngle.from_cos(float(c))
+        sol = solve_measurement(angle)
         assert sol.feasible
         assert sol.alpha is not None
-        t = math.tan(sol.omega.half)
+        t = math.tan(angle.half)
         rhs = -(t * t) * cmath.exp(2j * sol.beta) - 2.0 * t * cmath.exp(1j * sol.beta)
         assert abs(abs(rhs) - 1.0) <= 1e-10
 
 
 def test_diagonal_residual_solved_phases_vanish():
-    sol = solve_measurement(OverlapAngle.from_cos(0.5))
-    assert abs(diagonal_residual(sol.omega, sol.alpha, sol.beta)) <= 1e-10
+    angle = OverlapAngle.from_cos(0.5)
+    sol = solve_measurement(angle)
+    assert abs(diagonal_residual(angle, sol.alpha, sol.beta)) <= 1e-10
 
 
 def test_diagonal_residual_unit_phases():
@@ -198,8 +200,9 @@ def test_outcome_matrix_columns_stochastic():
 
 def test_outcome_matrix_zero_diagonal_at_solution():
     for c in (0.0, 0.2, 0.5, ROOT2 / 2):
-        sol = solve_measurement(OverlapAngle.from_cos(c))
-        p = outcome_matrix(sol.omega, sol.alpha, sol.beta)
+        angle = OverlapAngle.from_cos(c)
+        sol = solve_measurement(angle)
+        p = outcome_matrix(angle, sol.alpha, sol.beta)
         assert np.diag(p).max() <= 1e-10
 
 

@@ -65,9 +65,10 @@ tiny_tan = st.one_of(st.sampled_from([10.0**-k for k in range(9, 301)]), st.floa
 @seeded
 @given(feasible_cos)
 def test_zero_diagonal_at_solved_phases(c):
-    sol = solve_measurement(OverlapAngle.from_cos(c))
+    angle = OverlapAngle.from_cos(c)
+    sol = solve_measurement(angle)
     assert sol.feasible
-    amplitudes = build_M(sol.alpha, sol.beta) @ build_C(sol.omega)
+    amplitudes = build_M(sol.alpha, sol.beta) @ build_C(angle)
     assert np.abs(np.diag(amplitudes)).max() <= 1e-10
 
 

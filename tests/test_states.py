@@ -123,9 +123,9 @@ def test_reduce_pair_invariants_random_pairs():
         phase = rng.uniform(-math.pi, math.pi)
         psi, phi = _gram_schmidt_pair(rng, dim, modulus * np.exp(1j * phase))
         out = reduce_pair(psi, phi)
-        c, s = math.cos(out.omega.half), math.sin(out.omega.half)
-        np.testing.assert_allclose(out.psi, [c, s], atol=1e-12)
-        np.testing.assert_allclose(out.phi, [c, -s], atol=1e-12)
+        psi_ambient, phi_ambient = ambient(out)
+        np.testing.assert_allclose(psi_ambient, psi, atol=1e-10)
+        np.testing.assert_allclose(phi_ambient, phi * np.exp(-1j * out.phase_applied), atol=1e-10)
         assert abs(np.vdot(out.basis0, out.basis1)) <= 1e-10
         assert abs(np.linalg.norm(out.basis0) - 1.0) <= 1e-10
         assert abs(np.linalg.norm(out.basis1) - 1.0) <= 1e-10
