@@ -48,9 +48,18 @@ class _UsageError(Exception):
     """Flag or input problem; mapped to exit code 1 instead of argparse's 2."""
 
 
+class _Exit(Exception):
+    """argparse ended the call itself (``--help``); ``main`` returns the status."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _Exit(status)
 
 
 def _g17(x) -> str:
@@ -125,13 +134,148 @@ def _figure_blocks(resolution: int):
     return blocks()
 
 
-def _write_csv(path: str, header: str, row_format: str, blocks, columns) -> None:
-    """Write the header, then ``row_format`` over ``columns(block)`` for each grid block."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(header + "\n")
+# Figure CSVs are encoded this many rows at a time: the character matrix of
+# one sub-block is the largest allocation of fig1/fig2.
+ENCODE_ROWS = 1024
+
+# Every field is written left-aligned into this many columns of the character
+# matrix; the longest %.17g of a double, "-2.2250738585072014e-308", fills it.
+_FIELD = 24
+# Row k keeps the first k columns of a field.
+_PREFIX = np.arange(_FIELD) < np.arange(_FIELD + 1)[:, None]
+
+
+def _fixed_layout(exponent: int, negative: bool) -> list:
+    """Fixed-notation %.17g of a value with decimal exponent ``exponent`` (-4..15),
+    as indices into the rows of _digit_chars: its 17 digits, then '-', '.', '0'."""
+    head = [17] if negative else []
+    if exponent < 0:
+        body = [19, 18] + [19] * (-exponent - 1) + list(range(17))
+    else:
+        body = list(range(exponent + 1)) + [18] + list(range(exponent + 1, 17))
+    return (head + body + [19] * _FIELD)[:_FIELD]
+
+
+# Row 2 * (exponent + 4) + negative is the layout of that class.
+_LAYOUTS = np.array([_fixed_layout(x, neg) for x in range(-4, 16) for neg in (False, True)])
+
+# 10**k for k = 0..20, each an exact double, and Veltkamp's split of each into
+# two halves of at most 26 significant bits.
+_POW10 = np.array([float(10**k) for k in range(21)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+# The least double >= 10**k for k = -4..15: the doubles nearest 1e-4..1e-1
+# lie above those powers.  A double a in [1e-4, 1e16) has decimal exponent
+# X = (entries <= a) - 5.
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1] + [float(10**k) for k in range(16)])
+
+
+def _significand(a: np.ndarray):
+    """The decimal exponent X of each ``a`` in [1e-4, 1e16), and its 17 significant
+    digits: the integer rint(a * 10**(16 - X)) in [1e16, 1e17), ties to even.
+
+    Dekker's product gives a * 10**(16 - X) exactly as p + e, p the rounded
+    product.  There p is an even integer >= 2**53, so rint(e) rounds a tie to
+    even, as %.17g does.  The product never rounds up to 10**17: the largest
+    double below each power of ten in this range scales to under 10**17 - 8.
+    """
+    exponent = np.searchsorted(_DECADES, a, side="right") - 5
+    b, b_hi, b_lo = _POW10[16 - exponent], _POW10_HI[16 - exponent], _POW10_LO[16 - exponent]
+    p = a * b
+    c = a * 134217729.0  # Veltkamp's split, 2**27 + 1
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return exponent, p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+_DIV6 = np.array([10.0**k for k in range(5, -1, -1)], np.float32)[:, None]
+_SEVENTEEN = np.arange(17, dtype=np.uint8)[:, None]
+
+
+def _digit_chars(digits: np.ndarray) -> np.ndarray:
+    """Rows 0..16: the characters of the 17 digits of each of ``digits``; rows
+    17..19: '-', '.', '0'."""
+    n = len(digits)
+    # Three 6-digit groups, each exact in float32, where floor and subtraction
+    # give the digits exactly; the first of the 18 is always 0.
+    groups = np.empty((3, 1, n), np.float32)
+    groups[0, 0] = digits // 10**12
+    groups[1, 0] = digits // 10**6 % 10**6
+    groups[2, 0] = digits % 10**6
+    q = groups / _DIV6
+    np.floor(q, out=q)
+    q[:, 1:] -= 10 * q[:, :-1]
+    chars = np.empty((20, n), np.uint8)
+    np.add(q.reshape(18, n)[1:], 48, out=chars[:17], casting="unsafe")
+    chars[17:] = np.frombuffer(b"-.0", np.uint8)[:, None]
+    return chars
+
+
+def _encode_numbers(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``"%.17g" % v`` (float ``values``) or ``"%d" % v`` (integer ``values``)
+    left-aligned into the rows of ``out``; return the lengths.
+
+    Values with modulus in [1e-4, 1e16), and integers in [1, 2**53), are
+    encoded from their significand in fixed notation.  Every other value
+    (zero, exponent form, inf, nan) takes Python's ``%``.
+    """
+    is_float = values.dtype.kind == "f"
+    a = np.abs(values).astype(float)
+    exact = (a >= 1e-4) & (a < (1e16 if is_float else 2.0**53))
+    exponent, digits = _significand(np.where(exact, a, 1.0))
+    chars = _digit_chars(digits)
+    negative = values < 0
+    cls = 2 * (exponent + 4) + negative
+    counts = np.bincount(cls)
+    common = counts.argmax()
+    out[:] = chars[_LAYOUTS[common]].T
+    for c in np.flatnonzero(counts):
+        if c != common:
+            rows = np.flatnonzero(cls == c)
+            out[rows] = chars[_LAYOUTS[c]][:, rows].T
+    last = (_SEVENTEEN * (chars[:17] != ord("0"))).max(axis=0)  # last nonzero digit
+    fraction = np.maximum(last - exponent, 0)
+    lengths = negative + np.maximum(exponent, 0) + 1 + (fraction > 0) + fraction
+    fmt = "%.17g" if is_float else "%d"
+    for r in np.flatnonzero(~exact):
+        text = (fmt % values[r]).encode("ascii")
+        out[r, :len(text)] = np.frombuffer(text, np.uint8)
+        lengths[r] = len(text)
+    return lengths
+
+
+_FLAGS = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
+
+
+def _csv_rows(columns) -> np.ndarray:
+    """The CSV lines of ``columns`` as one byte array: a float column as ``%.17g``,
+    an integer column as ``%d``, a boolean one as ``true``/``false``."""
+    chars = np.empty((len(columns[0]), len(columns) * (_FIELD + 1)), np.uint8)
+    keep = np.ones(chars.shape, bool)
+    for k, col in enumerate(columns):
+        start = k * (_FIELD + 1)
+        field = chars[:, start:start + _FIELD]
+        if col.dtype == bool:
+            field[:, :5] = _FLAGS.take(col.astype(np.intp), axis=0)
+            lengths = 5 - col
+        else:
+            lengths = _encode_numbers(col, field)
+        keep[:, start:start + _FIELD] = _PREFIX.take(lengths, axis=0)
+        chars[:, start + _FIELD] = ord(",")
+    chars[:, -1] = ord("\n")
+    return chars[keep]
+
+
+def _write_csv(path: str, header: str, blocks, columns) -> None:
+    """Write the header, then the rows of ``columns(block)`` for each grid block."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
         for grid in blocks:
-            rows = zip(*(col.tolist() for col in columns(grid)))
-            fh.write("".join([row_format % row for row in rows]))
+            cols = columns(grid)
+            for start in range(0, grid.size, ENCODE_ROWS):
+                fh.write(_csv_rows([col[start:start + ENCODE_ROWS] for col in cols]))
 
 
 def cmd_solve(args) -> int:
@@ -159,7 +303,7 @@ def cmd_solve(args) -> int:
 
 def _fig1_columns(grid: np.ndarray):
     cos_omega = elementwise(math.cos, elementwise(math.acos, grid))
-    return grid, cos_beta_raw(cos_omega), np.where(within_boundary(cos_omega), "true", "false")
+    return grid, cos_beta_raw(cos_omega), within_boundary(cos_omega)
 
 
 def _fig2_columns(grid: np.ndarray):
@@ -170,14 +314,12 @@ def _fig2_columns(grid: np.ndarray):
 
 
 def cmd_fig1(args) -> int:
-    _write_csv(args.out, "cos_omega,cos_beta,feasible", "%.17g,%.17g,%s\n",
-               _figure_blocks(args.resolution), _fig1_columns)
+    _write_csv(args.out, "cos_omega,cos_beta,feasible", _figure_blocks(args.resolution), _fig1_columns)
     return EXIT_OK
 
 
 def cmd_fig2(args) -> int:
-    _write_csv(args.out, "cos_omega,n_pbr,n_alt,n_alt_log_raw", "%.17g,%d,%d,%.17g\n",
-               _figure_blocks(args.resolution), _fig2_columns)
+    _write_csv(args.out, "cos_omega,n_pbr,n_alt,n_alt_log_raw", _figure_blocks(args.resolution), _fig2_columns)
     return EXIT_OK
 
 
@@ -334,6 +476,8 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         # Looked up by name at each call, so a rebound cmd_* is the one that runs.
         return globals()["cmd_" + args.command](args)
+    except _Exit as exc:
+        return exc.args[0]
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -154,9 +156,68 @@ def test_figure_bytes_pinned(tmp_path, name, resolution, digest):
 def test_figure_rows_independent_of_block_size(tmp_path, monkeypatch, name):
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
     assert cli.main([name, "--resolution", "1001", "--out", str(whole)]) == 0
-    monkeypatch.setattr(cli, "CSV_BLOCK", 7)
-    assert cli.main([name, "--resolution", "1001", "--out", str(blocked)]) == 0
-    assert whole.read_bytes() == blocked.read_bytes()
+    for csv_block, encode_rows in ((7, cli.ENCODE_ROWS), (cli.CSV_BLOCK, 5), (7, 3), (1001, 1001)):
+        monkeypatch.setattr(cli, "CSV_BLOCK", csv_block)
+        monkeypatch.setattr(cli, "ENCODE_ROWS", encode_rows)
+        assert cli.main([name, "--resolution", "1001", "--out", str(blocked)]) == 0
+        assert whole.read_bytes() == blocked.read_bytes()
+
+
+# Catches in Tier-1 what the figures workload's peak_mem_mb bound would refuse.
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_figure_peak_memory(tmp_path, name):
+    argv = [name, "--resolution", "20000", "--out", str(tmp_path / f"{name}.csv")]
+    assert cli.main(argv) == 0  # the parser and numpy's own caches are built once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.55e6
+
+
+def test_decades_are_least_doubles_from_powers_of_ten():
+    for k, x in zip(range(-4, 16), cli._DECADES.tolist()):
+        assert Fraction(x) >= Fraction(10)**k > Fraction(math.nextafter(x, 0.0))
+
+
+def _powers_of_ten_ladder(k, steps):
+    """10**k moved ``steps`` doubles up (steps > 0) or down (steps < 0)."""
+    x = 10.0**k
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_signs = st.sampled_from([1.0, -1.0])
+CSV_FLOATS = st.one_of(
+    # every binade from 2**-20 (1e-6) to 2**60 (1e18), both signs
+    st.builds(lambda m, e, s: s * math.ldexp(m, e),
+              st.floats(1.0, 2.0, exclude_max=True), st.integers(-20, 60), _signs),
+    # dyadic k / 2**j; an odd k over 2**j (j <= 4) past 1e11 makes 17-digit ties
+    st.builds(lambda k, j, s: s * k / 2**j, st.integers(1, 2**53), st.integers(0, 60), _signs),
+    st.builds(lambda m, j: (2 * m + 1) / 2**j, st.integers(10**11, 2**52 - 1), st.integers(1, 4)),
+    # powers of ten and their neighbours, where the decimal exponent changes
+    st.builds(lambda k, n, s: s * _powers_of_ten_ladder(k, n), st.integers(-6, 18), st.integers(-3, 3), _signs),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+CSV_INTS = st.one_of(
+    st.integers(-10**4, 10**4),
+    st.integers(-2**63, 2**63 - 1),
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 10**16 - 1, 10**16, -2**63, 2**63 - 1]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(CSV_FLOATS, CSV_INTS, st.booleans(), CSV_FLOATS), min_size=1, max_size=40))
+def test_csv_rows_match_percent_formatting(rows):
+    # Values outside the encoded ranges take Python's % inside the same block.
+    x, n, flag, y = (np.array(col) for col in zip(*rows))
+    expected = "".join("%.17g,%d,%s,%.17g\n" % (a, b, "true" if c else "false", d) for a, b, c, d in rows)
+    assert cli._csv_rows([x, n.astype(np.int64), flag, y]).tobytes().decode("ascii") == expected
 
 
 @pytest.mark.parametrize("resolution", [2, 3, 2047, 2049, 20123, 1000003])
@@ -186,7 +247,7 @@ def test_fig_huge_resolution_in_bounded_memory():
     )
     assert result.returncode == 1
     assert result.stdout == b""
-    assert result.stderr.startswith(b"error: ")
+    assert result.stderr.startswith(b"error: [Errno 28] ")
     assert b"Traceback" not in result.stderr
 
 
@@ -579,6 +640,18 @@ def test_main_dispatches_to_rebound_command(monkeypatch, capsys):
     assert cli.main(["report", "--cos-omega", "0.9", "--epsilon", "0.2", "--json"]) == 42
     assert capsys.readouterr().out == ""
     assert len(seen) == 1 and seen[0].as_json and seen[0].epsilon == 0.2
+
+
+def test_help_returns_zero(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out == cli.build_parser().format_help()
+    assert cli.main(["solve", "--help"]) == 0
+    in_process = capsys.readouterr()
+    assert in_process.out.startswith("usage: pbrkit solve [-h] --cos-omega COS_OMEGA\n")
+    result = subprocess.run([sys.executable, "-m", "pbrkit.cli", "solve", "--help"],
+                            capture_output=True, text=True, env=_subprocess_env(COLUMNS="80"), timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, in_process.out, in_process.err)
 
 
 def test_import_builds_no_parser():
