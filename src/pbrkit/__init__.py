@@ -40,14 +40,7 @@ from .measurement import (
     solve_measurement,
     within_boundary,
 )
-from .reduction import (
-    GroupingPlan,
-    alt_log_bound_raw,
-    group_sizes,
-    grouping_plan,
-    min_n_pbr,
-    pbr_counts,
-)
+from .reduction import GroupingPlan, alt_log_bound_raw, grouping_plan, min_n_pbr
 from .states import (
     DEGENERACY_THRESHOLD,
     OverlapAngle,
@@ -84,11 +77,9 @@ __all__ = [
     "cos_beta_raw",
     "diagonal_residual",
     "elementwise",
-    "group_sizes",
     "grouping_plan",
     "min_n_pbr",
     "outcome_matrix",
-    "pbr_counts",
     "reduce_pair",
     "render_report",
     "sample_outcomes",

@@ -26,7 +26,7 @@ from .errors import DegeneratePair, ToolkitError
 from .experiment import MAX_TRIALS, contradiction_report, render_report, sample_outcomes
 from .linalg import TOL_NORM, elementwise
 from .measurement import build_C, build_M, cos_beta_raw, outcome_matrix, solve_measurement, within_boundary
-from .reduction import alt_log_bound_raw, group_sizes, grouping_plan, pbr_counts
+from .reduction import alt_log_bound_raw, grouping_plan, min_n_pbr
 from .states import OverlapAngle, reduce_pair
 
 EXIT_OK = 0
@@ -296,9 +296,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-# The figure columns take omega = acos(c) and its cosine from libm, element by
-# element, as OverlapAngle.from_cos(c) does: cos(acos(c)) can differ from c in
-# the last bit, and the printed values follow it.
+# fig1 takes omega = acos(c) and its cosine from libm, element by element, as
+# OverlapAngle.from_cos(c) does: cos(acos(c)) can differ from c in the last
+# bit, and the printed values follow it.
 
 
 def _fig1_columns(grid: np.ndarray):
@@ -306,10 +306,37 @@ def _fig1_columns(grid: np.ndarray):
     return grid, cos_beta_raw(cos_omega), within_boundary(cos_omega)
 
 
+def _breakpoint_counts(grid: np.ndarray, count) -> np.ndarray:
+    """``count(c)`` at every c of ``grid``, called only at a span's ends and where they differ.
+
+    The counts never decrease along the grid: each count condition is
+    monotone in its argument, and grid points lie at least 0.98 / (R - 1)
+    apart, millions of ulps more than libm's sub-ulp error in acos, cos and
+    tan.  So a span whose ends have the same count holds it throughout, and
+    only a span whose ends differ is split at its midpoint: a block costs a
+    few calls per count step, not one per row.  The spans wait in a list, not
+    in a recursive closure, which would keep each block alive in a
+    reference cycle until the cyclic collector runs.
+    """
+    last = grid.size - 1
+    out = np.empty(grid.size, np.int64)
+    spans = [(0, count(float(grid[0])), last, count(float(grid[last])))]
+    while spans:
+        lo, n_lo, hi, n_hi = spans.pop()
+        if n_lo == n_hi:
+            out[lo:hi + 1] = n_lo
+        elif hi - lo == 1:
+            out[lo], out[hi] = n_lo, n_hi
+        else:
+            mid = (lo + hi) // 2
+            n_mid = count(float(grid[mid]))
+            spans += [(lo, n_lo, mid, n_mid), (mid, n_mid, hi, n_hi)]
+    return out
+
+
 def _fig2_columns(grid: np.ndarray):
-    omega = elementwise(math.acos, grid)
-    n_pbr = pbr_counts(elementwise(math.tan, omega / 2.0))
-    n_alt = 2 * group_sizes(elementwise(math.cos, omega))
+    n_pbr = _breakpoint_counts(grid, lambda c: min_n_pbr(OverlapAngle.from_cos(c)))
+    n_alt = _breakpoint_counts(grid, lambda c: grouping_plan(OverlapAngle.from_cos(c)).n)
     return grid, n_pbr, n_alt, alt_log_bound_raw(grid)
 
 

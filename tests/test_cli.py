@@ -23,6 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 from pbrkit import cli
 from pbrkit.measurement import FEASIBILITY_BOUNDARY, build_C, build_M, outcome_matrix, solve_measurement
+from pbrkit.reduction import grouping_plan, min_n_pbr
 from pbrkit.states import OverlapAngle, reduce_pair
 
 ROOT2 = math.sqrt(2.0)
@@ -142,6 +143,8 @@ FIGURE_DIGESTS = [
     ("fig1", 20000, "14291d844ea5a9ab766e83cb1cd458b8734264081247974feb594f524574b64e"),
     ("fig2", 200, "f3de7ec32a91f28c175254359c6715b898f9fe62c46a07098fbb3739d2bc8912"),
     ("fig2", 20000, "f5c215bfb5cad11e88a95004f144ef1a90e17dbae6e090c902fcdeac1a69e327"),
+    # a grid spacing of about 1e-6, over 489 blocks
+    ("fig2", 1000000, "2098509cba04649443b44a1b2f3cc967a77fdac24dfa4bbe480df9e12f806e7d"),
 ]
 
 
@@ -161,6 +164,20 @@ def test_figure_rows_independent_of_block_size(tmp_path, monkeypatch, name):
         monkeypatch.setattr(cli, "ENCODE_ROWS", encode_rows)
         assert cli.main([name, "--resolution", "1001", "--out", str(blocked)]) == 0
         assert whole.read_bytes() == blocked.read_bytes()
+
+
+# With blocks of 7 rows, block ends fall on count steps.
+@pytest.mark.parametrize("csv_block", [cli.CSV_BLOCK, 7])
+@pytest.mark.parametrize("resolution", [2, 3, 2049, 20000])
+def test_fig2_counts_equal_one_overlap_calls(tmp_path, monkeypatch, resolution, csv_block):
+    monkeypatch.setattr(cli, "CSV_BLOCK", csv_block)
+    out = tmp_path / "fig2.csv"
+    assert cli.main(["fig2", "--resolution", str(resolution), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == resolution
+    for c, n_pbr, n_alt, _ in rows:
+        omega = OverlapAngle.from_cos(float(c))
+        assert (int(n_pbr), int(n_alt)) == (min_n_pbr(omega), grouping_plan(omega).n)
 
 
 # Catches in Tier-1 what the figures workload's peak_mem_mb bound would refuse.

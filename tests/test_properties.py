@@ -3,7 +3,7 @@
 These carry the correctness checks the library does not repeat at run time:
 the zero diagonal of M C, the closed form of that diagonal, unitarity of M,
 stochastic outcome columns, agreement of the two cos(beta) forms, the
-tensor-square form of C, the device-count bounds, minimality of the array
+tensor-square form of C, the device-count bounds, minimality of the
 device counts, the tensor-power overlap law and the reduce_pair round trip.
 Every test is derandomized, so a run always draws the same examples.
 """
@@ -23,11 +23,9 @@ from pbrkit import (
     build_M,
     cos_beta_raw,
     diagonal_residual,
-    group_sizes,
     grouping_plan,
     min_n_pbr,
     outcome_matrix,
-    pbr_counts,
     reduce_pair,
     solve_measurement,
 )
@@ -133,11 +131,13 @@ def _minimal_by_substitution(holds, count: int, floor: int) -> bool:
     st.lists(st.one_of(edge_cos, any_cos), min_size=1, max_size=30),
     st.lists(tiny_tan, max_size=5),
 )
-def test_array_counts_minimal_by_direct_substitution(cosines, tiny_halves):
-    halves = [math.tan(OverlapAngle.from_cos(c).half) for c in cosines] + tiny_halves
-    for c, m in zip(cosines, group_sizes(np.array(cosines)).tolist()):
+def test_counts_minimal_by_direct_substitution(cosines, tiny_halves):
+    overlaps = [OverlapAngle.from_cos(c) for c in cosines]
+    for omega in overlaps:
+        c, m = omega.cos, grouping_plan(omega).group_size
         assert _minimal_by_substitution(lambda k: c**k <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL, m, 1)
-    for t, n in zip(halves, pbr_counts(np.array(halves)).tolist()):
+    for omega in overlaps + [OverlapAngle(2 * math.atan(t)) for t in tiny_halves]:
+        t, n = math.tan(omega.half), min_n_pbr(omega)
         assert _minimal_by_substitution(lambda k: t >= 2.0 ** (1.0 / k) - 1.0 - BOUNDARY_TOL, n, 2)
 
 

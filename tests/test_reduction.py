@@ -13,10 +13,8 @@ from pbrkit import (
     GridOutOfRange,
     OverlapAngle,
     alt_log_bound_raw,
-    group_sizes,
     grouping_plan,
     min_n_pbr,
-    pbr_counts,
     reduce_pair,
     solve_beta,
 )
@@ -147,31 +145,20 @@ def test_scalar_counts_are_python_ints():
 
 def test_array_counts_match_one_overlap_calls():
     c = np.linspace(0.01, 0.99, 97)
-    omegas = [OverlapAngle.from_cos(float(x)) for x in c]
-    cosines = np.array([omega.cos for omega in omegas])
-    halves = np.array([math.tan(omega.half) for omega in omegas])
-    assert (2 * group_sizes(cosines)).tolist() == [grouping_plan(omega).n for omega in omegas]
-    assert pbr_counts(halves).tolist() == [min_n_pbr(omega) for omega in omegas]
     assert alt_log_bound_raw(c).tolist() == [alt_log_bound_raw(float(x)) for x in c]
 
 
-@pytest.mark.parametrize("bad", [1.0, 1.5, -0.1, math.nan, math.inf])
-def test_group_sizes_reject_out_of_range(bad):
-    # no group size exists at cos(omega) >= 1; the settle would never end
-    with pytest.raises(AngleOutOfRange):
-        group_sizes([0.5, bad])
-
-
 def test_grouping_plan_rejects_angle_with_unit_cosine():
-    # omega = 1e-9 is a valid angle, but cos(omega) rounds to 1
-    with pytest.raises(AngleOutOfRange):
+    # omega = 1e-9 is a valid angle, but cos(omega) rounds to 1: no group
+    # size exists there, and the settle would never end
+    with pytest.raises(AngleOutOfRange, match=r"cos\(omega\) must lie in \[0, 1\), got 1.0"):
         grouping_plan(1e-9)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan, math.inf])
-def test_pbr_counts_reject_out_of_range(bad):
-    with pytest.raises(AngleOutOfRange):
-        pbr_counts([0.5, bad])
+def test_min_n_pbr_rejects_angle_with_zero_half():
+    # omega = 5e-324 is a valid angle, but omega / 2 rounds to 0
+    with pytest.raises(AngleOutOfRange, match=r"tan\(omega/2\) must lie in \(0, 1\], got 0.0"):
+        min_n_pbr(5e-324)
 
 
 def test_alt_log_bound_raw_validates_arrays():
