@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegeneratePair, ToolkitError
 from .experiment import MAX_TRIALS, contradiction_report, render_report, sample_outcomes
-from .linalg import TOL_NORM, elementwise
+from .linalg import TOL_NORM
 from .measurement import build_C, build_M, cos_beta_raw, outcome_matrix, solve_measurement, within_boundary
 from .reduction import alt_log_bound_raw, grouping_plan, min_n_pbr
 from .states import OverlapAngle, reduce_pair
@@ -134,12 +134,12 @@ def _figure_blocks(resolution: int):
     return blocks()
 
 
-# Figure CSVs are encoded this many rows at a time: the character matrix of
-# one sub-block is the largest allocation of fig1/fig2.
+# Figure CSVs are encoded this many rows at a time: the encoder's arrays for
+# one sub-block are the largest allocations of fig1/fig2.
 ENCODE_ROWS = 1024
 
-# Every field is written left-aligned into this many columns of the character
-# matrix; the longest %.17g of a double, "-2.2250738585072014e-308", fills it.
+# A float is laid out in at most this many characters; the longest %.17g of
+# a double, "-2.2250738585072014e-308", fills it.
 _FIELD = 24
 # Row k keeps the first k columns of a field.
 _PREFIX = np.arange(_FIELD) < np.arange(_FIELD + 1)[:, None]
@@ -213,57 +213,68 @@ def _digit_chars(digits: np.ndarray) -> np.ndarray:
     return chars
 
 
-def _encode_numbers(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``"%.17g" % v`` (float ``values``) or ``"%d" % v`` (integer ``values``)
-    left-aligned into the rows of ``out``; return the lengths.
+def _float_field(values: np.ndarray):
+    """``"%.17g" % v`` of each float of ``values``, left-aligned in the rows of a
+    uint8 matrix as wide as the longest; the matrix and the lengths.
 
-    Values with modulus in [1e-4, 1e16), and integers in [1, 2**53), are
-    encoded from their significand in fixed notation.  Every other value
-    (zero, exponent form, inf, nan) takes Python's ``%``.
+    Values with modulus in [1e-4, 1e16) are encoded from their significand in
+    fixed notation.  Every other value (zero, exponent form, inf, nan) takes
+    Python's ``%``.
     """
-    is_float = values.dtype.kind == "f"
-    a = np.abs(values).astype(float)
-    exact = (a >= 1e-4) & (a < (1e16 if is_float else 2.0**53))
+    a = np.abs(values)
+    exact = (a >= 1e-4) & (a < 1e16)
     exponent, digits = _significand(np.where(exact, a, 1.0))
     chars = _digit_chars(digits)
     negative = values < 0
-    cls = 2 * (exponent + 4) + negative
-    counts = np.bincount(cls)
-    common = counts.argmax()
-    out[:] = chars[_LAYOUTS[common]].T
-    for c in np.flatnonzero(counts):
-        if c != common:
-            rows = np.flatnonzero(cls == c)
-            out[rows] = chars[_LAYOUTS[c]][:, rows].T
     last = (_SEVENTEEN * (chars[:17] != ord("0"))).max(axis=0)  # last nonzero digit
     fraction = np.maximum(last - exponent, 0)
     lengths = negative + np.maximum(exponent, 0) + 1 + (fraction > 0) + fraction
-    fmt = "%.17g" if is_float else "%d"
-    for r in np.flatnonzero(~exact):
-        text = (fmt % values[r]).encode("ascii")
-        out[r, :len(text)] = np.frombuffer(text, np.uint8)
+    texts = [(r, ("%.17g" % values[r]).encode("ascii")) for r in np.flatnonzero(~exact)]
+    for r, text in texts:
         lengths[r] = len(text)
-    return lengths
+    layouts = _LAYOUTS[:, :lengths.max()]
+    cls = 2 * (exponent + 4) + negative
+    counts = np.bincount(cls)
+    common = counts.argmax()
+    out = chars.take(layouts[common], axis=0).T
+    for c in np.flatnonzero(counts):
+        if c != common:
+            rows = np.flatnonzero(cls == c)
+            out[rows] = chars.take(layouts[c], axis=0)[:, rows].T
+    for r, text in texts:
+        out[r, :len(text)] = np.frombuffer(text, np.uint8)
+    return out, lengths
 
 
-_FLAGS = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
+def _table_field(values: np.ndarray):
+    """``"%d" % v`` of each integer of ``values``, or ``true``/``false`` of each
+    boolean, as _float_field lays them out: each distinct value is formatted
+    once, and the rows are gathered from that table."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    if values.dtype == bool:
+        texts = [b"true" if v else b"false" for v in distinct.tolist()]
+    else:
+        texts = [b"%d" % v for v in distinct.tolist()]
+    lengths = np.array([len(t) for t in texts])
+    width = lengths.max()
+    table = np.frombuffer(b"".join(t.ljust(width) for t in texts), np.uint8).reshape(-1, width)
+    return table.take(inverse, axis=0), lengths.take(inverse)
 
 
 def _csv_rows(columns) -> np.ndarray:
     """The CSV lines of ``columns`` as one byte array: a float column as ``%.17g``,
-    an integer column as ``%d``, a boolean one as ``true``/``false``."""
-    chars = np.empty((len(columns[0]), len(columns) * (_FIELD + 1)), np.uint8)
+    an integer column as ``%d``, a boolean one as ``true``/``false``.  Each field
+    takes only as many columns of the character matrix as its longest entry."""
+    fields = [_float_field(col) if col.dtype.kind == "f" else _table_field(col) for col in columns]
+    chars = np.empty((len(columns[0]), sum(field.shape[1] + 1 for field, _ in fields)), np.uint8)
     keep = np.ones(chars.shape, bool)
-    for k, col in enumerate(columns):
-        start = k * (_FIELD + 1)
-        field = chars[:, start:start + _FIELD]
-        if col.dtype == bool:
-            field[:, :5] = _FLAGS.take(col.astype(np.intp), axis=0)
-            lengths = 5 - col
-        else:
-            lengths = _encode_numbers(col, field)
-        keep[:, start:start + _FIELD] = _PREFIX.take(lengths, axis=0)
-        chars[:, start + _FIELD] = ord(",")
+    start = 0
+    for field, lengths in fields:
+        end = start + field.shape[1]
+        chars[:, start:end] = field
+        keep[:, start:end] = _PREFIX[:, :end - start].take(lengths, axis=0)
+        chars[:, end] = ord(",")
+        start = end + 1
     chars[:, -1] = ord("\n")
     return chars[keep]
 
@@ -298,11 +309,12 @@ def cmd_solve(args) -> int:
 
 # fig1 takes omega = acos(c) and its cosine from libm, element by element, as
 # OverlapAngle.from_cos(c) does: cos(acos(c)) can differ from c in the last
-# bit, and the printed values follow it.
+# bit, and the printed values follow it.  numpy's arccos and cos can differ
+# from libm's in the last bit too, so both run as one pass of math calls.
 
 
 def _fig1_columns(grid: np.ndarray):
-    cos_omega = elementwise(math.cos, elementwise(math.acos, grid))
+    cos_omega = np.fromiter(map(math.cos, map(math.acos, grid.tolist())), float, grid.size)
     return grid, cos_beta_raw(cos_omega), within_boundary(cos_omega)
 
 

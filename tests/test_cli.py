@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -192,7 +192,7 @@ def test_figure_peak_memory(tmp_path, name):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 0.55e6
+    assert peak <= 0.40e6
 
 
 def test_decades_are_least_doubles_from_powers_of_ten():
@@ -228,13 +228,46 @@ CSV_INTS = st.one_of(
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.lists(st.tuples(CSV_FLOATS, CSV_INTS, st.booleans(), CSV_FLOATS), min_size=1, max_size=40))
-def test_csv_rows_match_percent_formatting(rows):
+def _texts(kind, values):
+    """The array an encoder column holds, and Python's text of each entry."""
+    if kind == "f":
+        return np.array(values, float), ["%.17g" % v for v in values]
+    if kind == "i":
+        return np.array(values, np.int64), ["%d" % v for v in values]
+    return np.array(values, bool), ["true" if v else "false" for v in values]
+
+
+@st.composite
+def _csv_blocks(draw):
+    """The columns of one encoder sub-block: half the time a float, an integer, a
+    boolean and a float column, as fig1/fig2 mix them; otherwise one to five
+    columns of any kinds, so blocks of booleans only and of integers only occur."""
+    n = draw(st.integers(1, 40))
+    kinds = draw(st.one_of(st.just("fibf"), st.text("fib", min_size=1, max_size=5)))
+    ints = st.one_of(
+        st.lists(CSV_INTS, min_size=n, max_size=n),
+        CSV_INTS.map(lambda v: [v] * n),  # one repeated value
+        st.lists(CSV_INTS, min_size=n, max_size=n, unique=True),  # all distinct
+        st.lists(st.integers(0, 9), min_size=n, max_size=n),  # the widest is 1 character
+    )
+    element = {"f": st.lists(CSV_FLOATS, min_size=n, max_size=n), "i": ints,
+               "b": st.lists(st.booleans(), min_size=n, max_size=n)}
+    return [_texts(kind, draw(element[kind])) for kind in kinds]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_csv_blocks())
+# Each field is as wide as its longest entry in the block: the narrowest cases,
+# a table of one value, a one-character widest integer and booleans only.
+@example([_texts("b", [True, True, True])])
+@example([_texts("b", [False, False, False]), _texts("b", [True, False, True])])
+@example([_texts("i", [7] * 5), _texts("i", [0, 3, 9, 1, 0])])
+@example([_texts("i", [-2**63] * 3), _texts("i", [2**63 - 1, -2**63, 0])])
+@example([_texts("i", [5]), _texts("f", [0.5]), _texts("b", [True]), _texts("i", [-1])])
+def test_csv_rows_match_percent_formatting(block):
     # Values outside the encoded ranges take Python's % inside the same block.
-    x, n, flag, y = (np.array(col) for col in zip(*rows))
-    expected = "".join("%.17g,%d,%s,%.17g\n" % (a, b, "true" if c else "false", d) for a, b, c, d in rows)
-    assert cli._csv_rows([x, n.astype(np.int64), flag, y]).tobytes().decode("ascii") == expected
+    expected = "".join(",".join(row) + "\n" for row in zip(*(texts for _, texts in block)))
+    assert cli._csv_rows([values for values, _ in block]).tobytes().decode("ascii") == expected
 
 
 @pytest.mark.parametrize("resolution", [2, 3, 2047, 2049, 20123, 1000003])
