@@ -16,7 +16,6 @@ outcome fired in simulation).
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -290,7 +289,7 @@ def _write_csv(path: str, header: str, blocks, columns) -> None:
 
 
 def cmd_solve(args) -> int:
-    angle = OverlapAngle.from_cos(args.cos_omega)
+    angle = OverlapAngle(cos=args.cos_omega)
     sol = solve_measurement(angle)
     print(f"cos_omega = {_g17(args.cos_omega)}")
     print(f"cos_beta_raw = {_g17(sol.cos_beta_raw)}")
@@ -307,24 +306,18 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-# fig1 takes omega = acos(c) and its cosine from libm, element by element, as
-# OverlapAngle.from_cos(c) does: cos(acos(c)) can differ from c in the last
-# bit, and the printed values follow it.  numpy's arccos and cos can differ
-# from libm's in the last bit too, so both run as one pass of math calls.
-
-
 def _fig1_columns(grid: np.ndarray):
-    cos_omega = np.fromiter(map(math.cos, map(math.acos, grid.tolist())), float, grid.size)
-    return grid, cos_beta_raw(cos_omega), within_boundary(cos_omega)
+    return grid, cos_beta_raw(grid), within_boundary(grid)
 
 
 def _breakpoint_counts(grid: np.ndarray, count) -> np.ndarray:
     """``count(c)`` at every c of ``grid``, called only at a span's ends and where they differ.
 
     The counts never decrease along the grid: each count condition is
-    monotone in its argument, and grid points lie at least 0.98 / (R - 1)
-    apart, millions of ulps more than libm's sub-ulp error in acos, cos and
-    tan.  So a span whose ends have the same count holds it throughout, and
+    monotone in its argument, tan(omega/2) is formed from c by correctly
+    rounded steps that keep that order, and grid points lie at least
+    0.98 / (R - 1) apart, millions of ulps more than libm's sub-ulp error in
+    pow.  So a span whose ends have the same count holds it throughout, and
     only a span whose ends differ is split at its midpoint: a block costs a
     few calls per count step, not one per row.  The spans wait in a list, not
     in a recursive closure, which would keep each block alive in a
@@ -347,8 +340,8 @@ def _breakpoint_counts(grid: np.ndarray, count) -> np.ndarray:
 
 
 def _fig2_columns(grid: np.ndarray):
-    n_pbr = _breakpoint_counts(grid, lambda c: min_n_pbr(OverlapAngle.from_cos(c)))
-    n_alt = _breakpoint_counts(grid, lambda c: grouping_plan(OverlapAngle.from_cos(c)).n)
+    n_pbr = _breakpoint_counts(grid, lambda c: min_n_pbr(OverlapAngle(cos=c)))
+    n_alt = _breakpoint_counts(grid, lambda c: grouping_plan(OverlapAngle(cos=c)).n)
     return grid, n_pbr, n_alt, alt_log_bound_raw(grid)
 
 
@@ -431,7 +424,7 @@ def cmd_simulate(args) -> int:
         raise _UsageError(f"trials must be <= 2**63 - 1, got {args.trials}")
     if args.seed < 0:
         raise _UsageError(f"seed must be >= 0, got {args.seed}")
-    plan = grouping_plan(OverlapAngle.from_cos(args.cos_omega))
+    plan = grouping_plan(OverlapAngle(cos=args.cos_omega))
     effective = plan.effective_omega
     sol = solve_measurement(effective)
     if plan.n > 2:
@@ -453,7 +446,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    record = contradiction_report(OverlapAngle.from_cos(args.cos_omega), args.epsilon)
+    record = contradiction_report(OverlapAngle(cos=args.cos_omega), args.epsilon)
     print(json.dumps(record, indent=2, sort_keys=True) if args.as_json else render_report(record))
     return EXIT_OK
 

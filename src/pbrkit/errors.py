@@ -10,7 +10,7 @@ class DimMismatch(ToolkitError, ValueError):
 
 
 class AngleOutOfRange(ToolkitError, ValueError):
-    """Overlap angle outside (0, pi/2], or cos outside [0, 1)."""
+    """Overlap cos(omega) outside [0, 1)."""
 
 
 class DegeneratePair(ToolkitError, ValueError):

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BadEpsilon, BadPreparation
 from .measurement import outcome_matrix, solve_measurement
 from .reduction import grouping_plan
-from .states import _as_angle
+from .states import OverlapAngle
 
 # Column entries below this are treated as exact zeros and never sampled,
 # so "forbidden" means never, not merely probability ~1e-10.
@@ -50,7 +50,7 @@ def sample_outcomes(p: np.ndarray, preparation: int, trials: int, seed: int) -> 
     return tuple(counts.tolist())
 
 
-def contradiction_report(omega, epsilon: float) -> dict:
+def contradiction_report(omega: OverlapAngle, epsilon: float) -> dict:
     """Evaluate the epsilon^n incompatibility argument at one overlap.
 
     Groups enough devices for a feasible effective overlap, solves the
@@ -59,7 +59,6 @@ def contradiction_report(omega, epsilon: float) -> dict:
     four forbidden outcomes of zero probability.  The result is the
     JSON-serializable record that ``report --json`` prints.
     """
-    omega = _as_angle(omega)
     epsilon = float(epsilon)
     if not (0.0 <= epsilon <= 1.0):
         raise BadEpsilon(f"epsilon must lie in [0, 1], got {epsilon!r}")

@@ -10,10 +10,10 @@ TOL_NORM = 1e-10
 def elementwise(fn, *arrays) -> np.ndarray:
     """``fn`` (a ``math`` function) applied element by element, as floats.
 
-    The result has the shape of the first array.  numpy's own arccos, cos,
-    tan, log and power can differ from the C library's in the last bit, so
-    array code that must give what the scalar ``math`` call gives, bit for
-    bit, takes its transcendentals from here.
+    The result has the shape of the first array.  numpy's own log can differ
+    from the C library's in the last bit, so ``alt_log_bound_raw``, whose
+    array result must give what the scalar ``math.log`` call gives, bit for
+    bit, takes its log from here.
     """
     shape = np.shape(arrays[0])
     values = (np.asarray(a).ravel().tolist() for a in arrays)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InconsistentPhases
-from .states import _as_angle
+from .states import OverlapAngle
 
 # cos(omega) above sqrt(2)/2 admits no real beta.  The boundary is inclusive
 # within 1e-12, where cos(beta) is clamped onto [-1, 1].
@@ -53,7 +53,7 @@ class MeasurementSolution:
     cos_beta_raw: float
 
 
-def build_C(omega) -> np.ndarray:
+def build_C(omega: OverlapAngle) -> np.ndarray:
     """4x4 preparation operator; column j is joint preparation j.
 
     C is the tensor square B (x) B of the 2x2 matrix B whose columns are the
@@ -63,8 +63,7 @@ def build_C(omega) -> np.ndarray:
     C[2i + k, 2j + l] = B[i, j] B[k, l] makes the same complex products as
     ``np.kron``, signed zeros included.
     """
-    omega = _as_angle(omega)
-    c, s = math.cos(omega.half), math.sin(omega.half)
+    c, s = omega.cos_half, omega.sin_half
     b = np.array([[c, c], [s, -s]], dtype=complex)
     return (b[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
@@ -102,7 +101,7 @@ def cos_beta_raw(cos_omega):
     return (c * c + c - 1.0) / ((1.0 - c) * np.sqrt(1.0 - c * c))
 
 
-def solve_beta(omega) -> MeasurementSolution:
+def solve_beta(omega: OverlapAngle) -> MeasurementSolution:
     """Solve the zero-diagonal condition for beta; alpha is left unset.
 
     Feasibility is decided from cos(omega) against the boundary before any
@@ -110,7 +109,6 @@ def solve_beta(omega) -> MeasurementSolution:
     way so callers can trace the curve past its +1 crossing.  On the
     feasible range beta is the principal arccos of the clamped value.
     """
-    omega = _as_angle(omega)
     feasible = within_boundary(omega.cos)
     raw = float(cos_beta_raw(omega.cos))
     beta = None
@@ -119,7 +117,7 @@ def solve_beta(omega) -> MeasurementSolution:
     return MeasurementSolution(beta=beta, alpha=None, feasible=feasible, cos_beta_raw=raw)
 
 
-def solve_alpha(omega, beta: float) -> float:
+def solve_alpha(omega: OverlapAngle, beta: float) -> float:
     """Recover alpha from the zero-diagonal condition at a solved beta.
 
     The condition rearranges to
@@ -129,8 +127,7 @@ def solve_alpha(omega, beta: float) -> float:
     whose right side has unit modulus exactly when beta solves the
     cos(beta) equation.  Returns the principal argument in (-pi, pi].
     """
-    omega = _as_angle(omega)
-    t = math.tan(omega.half)
+    t = omega.tan_half
     rhs = -(t * t) * cmath.exp(2j * beta) - 2.0 * t * cmath.exp(1j * beta)
     if abs(abs(rhs) - 1.0) > 1e-10:
         raise InconsistentPhases(
@@ -139,23 +136,21 @@ def solve_alpha(omega, beta: float) -> float:
     return cmath.phase(rhs)
 
 
-def solve_measurement(omega) -> MeasurementSolution:
+def solve_measurement(omega: OverlapAngle) -> MeasurementSolution:
     """solve_beta plus, when feasible, the matching alpha."""
-    omega = _as_angle(omega)
     sol = solve_beta(omega)
     if not sol.feasible:
         return sol
     return replace(sol, alpha=solve_alpha(omega, sol.beta))
 
 
-def diagonal_residual(omega, alpha: float, beta: float) -> complex:
+def diagonal_residual(omega: OverlapAngle, alpha: float, beta: float) -> complex:
     """Common value of the four diagonal entries of M C, in closed form.
 
     The sign patterns of M and C make all four diagonal entries equal; the
     residual is zero (to 1e-10) exactly at solved phases.
     """
-    omega = _as_angle(omega)
-    c, s = math.cos(omega.half), math.sin(omega.half)
+    c, s = omega.cos_half, omega.sin_half
     return (
         0.5 * cmath.exp(1j * alpha) * c * c
         + cmath.exp(1j * beta) * c * s
@@ -163,7 +158,7 @@ def diagonal_residual(omega, alpha: float, beta: float) -> complex:
     )
 
 
-def outcome_matrix(omega, alpha: float, beta: float) -> np.ndarray:
+def outcome_matrix(omega: OverlapAngle, alpha: float, beta: float) -> np.ndarray:
     """4x4 outcome probabilities p[k, j] = |(M C)[k, j]|^2.
 
     Entry (k, j) is P(outcome k+1 | joint preparation j+1), so every column

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleOutOfRange, GridOutOfRange
+from .errors import GridOutOfRange
 from .linalg import elementwise
 from .measurement import BOUNDARY_TOL, FEASIBILITY_BOUNDARY, within_boundary
-from .states import OverlapAngle, _as_angle
+from .states import OverlapAngle
 
 # The counts are seeded from logarithmic bounds with the boundary tolerance
 # folded in, so the settle moves a seed by one step at most in practice,
@@ -69,33 +69,29 @@ def _settle(holds, seed: int, floor: int) -> int:
     return hi
 
 
-def grouping_plan(omega) -> GroupingPlan:
+def grouping_plan(omega: OverlapAngle) -> GroupingPlan:
     """Smallest even device count n = 2m with cos^m(omega) <= sqrt(2)/2.
 
     Within the boundary m is 1; past it m is seeded from the logarithmic
     bound and then settled by direct powering.  Boundary ties resolve
     inclusively within 1e-12.
     """
-    c = _as_angle(omega).cos
-    if not 0.0 <= c < 1.0:  # no group size exists at cos(omega) = 1
-        raise AngleOutOfRange(f"cos(omega) must lie in [0, 1), got {c!r}")
+    c = omega.cos
     m = 1
     if not within_boundary(c):
         seed = math.ceil(_LOG_GROUP_BOUND / math.log(c) - 1e-9)
         m = _settle(lambda k: within_boundary(math.pow(c, k)), seed, floor=1)
-    return GroupingPlan(n=2 * m, group_size=m, effective_omega=OverlapAngle(math.acos(c**m)))
+    return GroupingPlan(n=2 * m, group_size=m, effective_omega=OverlapAngle(cos=c**m))
 
 
-def min_n_pbr(omega) -> int:
+def min_n_pbr(omega: OverlapAngle) -> int:
     """Smallest n >= 2 with tan(omega/2) >= 2^{1/n} - 1.
 
     Seeded from n >= ln 2 / ln(1 + tan(omega/2) + 1e-12), then settled by
     direct substitution so that boundary roundoff cannot shift the answer;
     floors at 2 because the setup needs at least two devices.
     """
-    t = math.tan(_as_angle(omega).half)
-    if not 0.0 < t <= 1.0:  # omega / 2 can round to 0
-        raise AngleOutOfRange(f"tan(omega/2) must lie in (0, 1], got {t!r}")
+    t = omega.tan_half
     seed = max(2, math.ceil(_LOG_2 / math.log1p(t + BOUNDARY_TOL) - 1e-9))
     return _settle(lambda n: t >= math.pow(2.0, 1.0 / n) - 1.0 - BOUNDARY_TOL, seed, floor=2)
 

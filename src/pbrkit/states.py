@@ -1,4 +1,4 @@
-"""The overlap angle, and canonical symmetric state pairs.
+"""The overlap of a state pair, and canonical symmetric state pairs.
 
 Any two distinct pure states span a plane in which they can be written as
 
@@ -24,37 +24,37 @@ from .linalg import TOL_NORM
 DEGENERACY_THRESHOLD = 1.0 - 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OverlapAngle:
-    """Angle omega with cos(omega) = |<psi|phi>|, restricted to (0, pi/2].
+    """The overlap c = cos(omega) = |<psi|phi>| of two states, in [0, 1).
 
-    omega = pi/2 means orthogonal states; omega = 0 (identical states) is
-    excluded.
+    c = 0 means orthogonal states; c = 1 (identical states) is excluded.  The
+    half-angle values are closed forms in c, built from arithmetic and the
+    correctly rounded square root with no angle formed on the way: 1 - c is
+    exact for c >= 1/2, and tan(omega/2) >= 2^-27 for every double c < 1.
     """
 
-    omega: float
+    cos: float
 
     def __post_init__(self):
-        if not (0.0 < self.omega <= math.pi / 2):
-            raise AngleOutOfRange(f"omega must lie in (0, pi/2], got {self.omega!r}")
-
-    @classmethod
-    def from_cos(cls, cos_omega: float) -> "OverlapAngle":
-        if not (0.0 <= cos_omega < 1.0):
-            raise AngleOutOfRange(f"cos(omega) must lie in [0, 1), got {cos_omega!r}")
-        return cls(math.acos(cos_omega))
+        if not (0.0 <= self.cos < 1.0):
+            raise AngleOutOfRange(f"cos(omega) must lie in [0, 1), got {self.cos!r}")
 
     @property
-    def cos(self) -> float:
-        return math.cos(self.omega)
+    def omega(self) -> float:
+        return math.acos(self.cos)
 
     @property
-    def half(self) -> float:
-        return self.omega / 2.0
+    def cos_half(self) -> float:
+        return math.sqrt((1.0 + self.cos) / 2.0)
 
+    @property
+    def sin_half(self) -> float:
+        return math.sqrt((1.0 - self.cos) / 2.0)
 
-def _as_angle(omega) -> OverlapAngle:
-    return omega if isinstance(omega, OverlapAngle) else OverlapAngle(float(omega))
+    @property
+    def tan_half(self) -> float:
+        return math.sqrt((1.0 - self.cos) / (1.0 + self.cos))
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,11 @@ def reduce_pair(psi, phi) -> SymmetricPair:
 
     phase = float(np.angle(overlap)) if abs(overlap) > 0.0 else 0.0
     phi_aligned = phi * np.exp(-1j * phase)
-    omega = OverlapAngle(math.acos(abs(overlap)))
-    c, s = math.cos(omega.half), math.sin(omega.half)
+    omega = OverlapAngle(cos=abs(overlap))
     return SymmetricPair(
         omega=omega,
-        basis0=(psi + phi_aligned) / (2.0 * c),
-        basis1=(psi - phi_aligned) / (2.0 * s),
+        basis0=(psi + phi_aligned) / (2.0 * omega.cos_half),
+        basis1=(psi - phi_aligned) / (2.0 * omega.sin_half),
         phase_applied=phase,
     )
 

@@ -6,7 +6,6 @@ overlap cos^m(omega); the tan form checks the closed form of cos(beta); the
 ambient re-expansion checks the ``reduce_pair`` round trip.
 """
 
-import math
 from functools import reduce
 from typing import NamedTuple
 
@@ -22,29 +21,24 @@ class CopiesOutOfRange(ValueError):
     """Tensor-power copy count outside [1, MAX_COPIES]."""
 
 
-def _angle(omega) -> OverlapAngle:
-    return omega if isinstance(omega, OverlapAngle) else OverlapAngle(float(omega))
-
-
 class Pair(NamedTuple):
     omega: OverlapAngle
     psi: np.ndarray
     phi: np.ndarray
 
 
-def make_pair(omega) -> Pair:
+def make_pair(omega: OverlapAngle) -> Pair:
     """The canonical pair (cos(omega/2), +/- sin(omega/2)) in the standard 2-dim basis.
 
     The overlap is cos^2(omega/2) - sin^2(omega/2) = cos(omega).
     """
-    omega = _angle(omega)
-    c, s = math.cos(omega.half), math.sin(omega.half)
+    c, s = omega.cos_half, omega.sin_half
     return Pair(omega, np.array([c, s], dtype=complex), np.array([c, -s], dtype=complex))
 
 
 def ambient(pair: SymmetricPair) -> tuple[np.ndarray, np.ndarray]:
     """psi and the phase-aligned phi, the canonical pair expanded in the ambient space."""
-    c, s = math.cos(pair.omega.half), math.sin(pair.omega.half)
+    c, s = pair.omega.cos_half, pair.omega.sin_half
     return c * pair.basis0 + s * pair.basis1, c * pair.basis0 - s * pair.basis1
 
 
@@ -58,11 +52,11 @@ def product_state(s, copies: int) -> np.ndarray:
     return reduce(np.kron, [s] * copies)
 
 
-def cos_beta_tan_form(omega) -> float:
+def cos_beta_tan_form(omega: OverlapAngle) -> float:
     """cos(beta) in the tan-power form (t^-3 - 4 t^-1 - t) / 4 with t = tan(omega/2).
 
     It equals ``cos_beta_raw`` at cos(omega), but diverges like t^-3 as
     omega -> 0, so pbrkit uses the closed form.
     """
-    t = math.tan(_angle(omega).half)
+    t = omega.tan_half
     return 0.25 * (t**-3 - 4.0 / t - t)

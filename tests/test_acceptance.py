@@ -53,12 +53,12 @@ def _gate(number, label, limit_s, body):
 
 def test_acceptance_1_feasibility_boundary():
     def body(check):
-        at_boundary = solve_beta(OverlapAngle.from_cos(BOUNDARY)).cos_beta_raw
+        at_boundary = solve_beta(OverlapAngle(cos=BOUNDARY)).cos_beta_raw
         check(abs(at_boundary - 1.0) <= 1e-12, f"cos_beta({BOUNDARY}) = {at_boundary}, not 1")
-        at_zero = solve_beta(OverlapAngle.from_cos(0.0)).cos_beta_raw
+        at_zero = solve_beta(OverlapAngle(cos=0.0)).cos_beta_raw
         check(abs(at_zero + 1.0) <= 1e-12, f"cos_beta(0) = {at_zero}, not -1")
         for c in (0.72, 0.8, 0.9, 0.99):
-            sol = solve_beta(OverlapAngle.from_cos(c))
+            sol = solve_beta(OverlapAngle(cos=c))
             check(sol.cos_beta_raw > 1.0, f"raw at {c} is {sol.cos_beta_raw}, expected > 1")
             check(not sol.feasible, f"{c} reported feasible")
 
@@ -69,7 +69,7 @@ def test_acceptance_2_closed_form_equivalence():
     def body(check):
         worst = 0.0
         for c in np.linspace(0.005, 0.995, 200):
-            omega = OverlapAngle.from_cos(float(c))
+            omega = OverlapAngle(cos=float(c))
             worst = max(worst, abs(cos_beta_raw(omega.cos) - cos_beta_tan_form(omega)))
         check(worst <= 1e-10, f"closed forms disagree by {worst:.3e}")
 
@@ -79,7 +79,7 @@ def test_acceptance_2_closed_form_equivalence():
 def test_acceptance_3_zero_diagonal_construction():
     def body(check):
         for c in np.linspace(0.0, BOUNDARY, 50):
-            angle = OverlapAngle.from_cos(float(c))
+            angle = OverlapAngle(cos=float(c))
             sol = solve_measurement(angle)
             check(sol.feasible, f"{c} infeasible inside the boundary")
             amplitudes = build_M(sol.alpha, sol.beta) @ build_C(angle)
@@ -99,7 +99,7 @@ def test_acceptance_4_group_reduction():
 
     def body(check):
         for c, n_expected in expected.items():
-            n = grouping_plan(OverlapAngle.from_cos(c)).n
+            n = grouping_plan(OverlapAngle(cos=c)).n
             check(n == n_expected, f"grouping_plan({c}).n = {n}, expected {n_expected}")
             m = n // 2
             check(c**m <= BOUNDARY + 1e-12, f"{c}^{m} above the boundary")
@@ -110,7 +110,7 @@ def test_acceptance_4_group_reduction():
                 oracle_m += 1
             check(oracle_m == m, f"brute force gives m = {oracle_m}, plan gives {m}")
             # explicit tensor products agree with the analytic overlap (n <= 20)
-            pair = make_pair(OverlapAngle.from_cos(c))
+            pair = make_pair(OverlapAngle(cos=c))
             explicit = np.vdot(product_state(pair.psi, m), product_state(pair.phi, m))
             check(abs(explicit - c**m) <= 1e-10, f"tensor overlap off at {c}: {explicit}")
 
@@ -119,15 +119,15 @@ def test_acceptance_4_group_reduction():
 
 def test_acceptance_5_minimal_n_comparison():
     def body(check):
-        check(min_n_pbr(OverlapAngle.from_cos(BOUNDARY)) == 2, "n_pbr at the boundary is not 2")
-        n9 = min_n_pbr(OverlapAngle.from_cos(0.9))
+        check(min_n_pbr(OverlapAngle(cos=BOUNDARY)) == 2, "n_pbr at the boundary is not 2")
+        n9 = min_n_pbr(OverlapAngle(cos=0.9))
         check(n9 == 4, f"n_pbr(0.9) = {n9}, expected 4")
         # direct-substitution oracle: condition holds at 4, fails at 3
-        t = math.tan(OverlapAngle.from_cos(0.9).half)
+        t = OverlapAngle(cos=0.9).tan_half
         check(t >= 2.0 ** (1.0 / 4.0) - 1.0, "condition fails at n = 4")
         check(t < 2.0 ** (1.0 / 3.0) - 1.0, "condition unexpectedly holds at n = 3")
         for c in np.linspace(0.01, 0.99, 200):
-            omega = OverlapAngle.from_cos(float(c))
+            omega = OverlapAngle(cos=float(c))
             n_pbr, n_alt = min_n_pbr(omega), grouping_plan(omega).n
             check(n_alt >= n_pbr, f"n_alt < n_pbr at cos_omega = {c}")
             if c <= BOUNDARY:
@@ -135,14 +135,14 @@ def test_acceptance_5_minimal_n_comparison():
         # halved logarithmic form reads 1 at the boundary; operative count is 2
         raw = alt_log_bound_raw(BOUNDARY)
         check(abs(raw - 1.0) <= 1e-12, f"raw log bound at boundary = {raw}, expected 1")
-        check(grouping_plan(OverlapAngle.from_cos(BOUNDARY)).n == 2, "operative bound not 2")
+        check(grouping_plan(OverlapAngle(cos=BOUNDARY)).n == 2, "operative bound not 2")
 
     _gate(5, "minimal-n comparison", 1.0, body)
 
 
 def test_acceptance_6_monte_carlo_statistics():
     def body(check):
-        angle = OverlapAngle.from_cos(0.5)
+        angle = OverlapAngle(cos=0.5)
         sol = solve_measurement(angle)
         p = outcome_matrix(angle, sol.alpha, sol.beta)
         for j in (1, 2, 3, 4):
@@ -152,7 +152,7 @@ def test_acceptance_6_monte_carlo_statistics():
             tv = 0.5 * float(np.abs(empirical - p[:, j - 1]).sum())
             check(tv < 0.01, f"TV distance {tv:.4f} for preparation {j}")
         # orthogonal case: deterministic anti-diagonal permutation
-        orthogonal = OverlapAngle.from_cos(0.0)
+        orthogonal = OverlapAngle(cos=0.0)
         sol0 = solve_measurement(orthogonal)
         p0 = outcome_matrix(orthogonal, sol0.alpha, sol0.beta)
         for j, hit in ((1, 4), (2, 3), (3, 2), (4, 1)):

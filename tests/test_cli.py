@@ -22,7 +22,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pbrkit import cli
-from pbrkit.measurement import FEASIBILITY_BOUNDARY, build_C, build_M, outcome_matrix, solve_measurement
+from pbrkit.measurement import (
+    FEASIBILITY_BOUNDARY,
+    build_C,
+    build_M,
+    cos_beta_raw,
+    outcome_matrix,
+    solve_measurement,
+    within_boundary,
+)
 from pbrkit.reduction import grouping_plan, min_n_pbr
 from pbrkit.states import OverlapAngle, reduce_pair
 
@@ -46,12 +54,21 @@ def _subprocess_env(**extra):
 def test_solve_feasible(capsys):
     assert cli.main(["solve", "--cos-omega", "0.5"]) == 0
     out = capsys.readouterr().out
-    assert "cos_beta_raw = -0.57735026918962606" in out
-    assert "beta = 2.1862760354652844" in out
-    assert "alpha = -0.67967381890824352" in out
+    assert "cos_beta_raw = -0.57735026918962584" in out
+    assert "beta = 2.1862760354652839" in out
+    assert "alpha = -0.67967381890824397" in out
     for name in ("M =", "C =", "P ="):
         assert name in out
     assert "max diagonal probability" in out
+
+
+@pytest.mark.parametrize("c", ["0.3", "0.5"])
+def test_solve_and_report_use_the_given_cosine(capsys, c):
+    # cos(acos(c)) is not c at either value
+    assert cli.main(["solve", "--cos-omega", c]) == 0
+    assert f"\ncos_beta_raw = {cli._g17(cos_beta_raw(float(c)))}\n" in capsys.readouterr().out
+    assert cli.main(["report", "--cos-omega", c, "--epsilon", "0.2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cos_omega"] == float(c)
 
 
 def test_solve_boundary_crossing(capsys):
@@ -115,6 +132,17 @@ def test_fig1_byte_identical_runs(tmp_path):
     assert b"\r" not in a.read_bytes()
 
 
+@pytest.mark.parametrize("resolution", [200, 20000, 20123])
+def test_fig1_rows_are_computed_at_the_grid(tmp_path, resolution):
+    out = tmp_path / "fig1.csv"
+    assert cli.main(["fig1", "--resolution", str(resolution), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    grid = np.linspace(0.01, 0.99, resolution)
+    assert [float(c) for c, _, _ in rows] == grid.tolist()
+    assert [float(b) for _, b, _ in rows] == cos_beta_raw(grid).tolist()
+    assert [f == "true" for _, _, f in rows] == within_boundary(grid).tolist()
+
+
 def test_fig2_output(tmp_path):
     out = tmp_path / "fig2.csv"
     assert cli.main(["fig2", "--resolution", "50", "--out", str(out)]) == 0
@@ -135,12 +163,12 @@ def test_fig2_byte_identical_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# SHA-256 of the CSVs as the per-row scalar implementation wrote them, on
-# x86-64 Linux with glibc's libm.  The rows follow libm's acos, cos, tan, log,
-# log1p and pow to the last bit, so another C library may give other bytes.
+# SHA-256 of the CSVs, on x86-64 Linux with glibc's libm.  fig2's rows follow
+# libm's log, log1p and pow to the last bit, so another C library may give
+# other bytes; fig1's rows take only arithmetic and sqrt.
 FIGURE_DIGESTS = [
-    ("fig1", 200, "17c5aa654940821d8c6d7d242019cda0d795b50ad55181744288877951a77bb9"),
-    ("fig1", 20000, "14291d844ea5a9ab766e83cb1cd458b8734264081247974feb594f524574b64e"),
+    ("fig1", 200, "f57ce037d8bd6a1a22f01db283dabf59c7daac7dc0d980cf1c944f5f8dc8335b"),
+    ("fig1", 20000, "467963d221f1d68438d1330f0ab0a11f1988e8397af5097e1b5cdb21be631055"),
     ("fig2", 200, "f3de7ec32a91f28c175254359c6715b898f9fe62c46a07098fbb3739d2bc8912"),
     ("fig2", 20000, "f5c215bfb5cad11e88a95004f144ef1a90e17dbae6e090c902fcdeac1a69e327"),
     # a grid spacing of about 1e-6, over 489 blocks
@@ -176,7 +204,7 @@ def test_fig2_counts_equal_one_overlap_calls(tmp_path, monkeypatch, resolution, 
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == resolution
     for c, n_pbr, n_alt, _ in rows:
-        omega = OverlapAngle.from_cos(float(c))
+        omega = OverlapAngle(cos=float(c))
         assert (int(n_pbr), int(n_alt)) == (min_n_pbr(omega), grouping_plan(omega).n)
 
 
@@ -436,39 +464,38 @@ def _wide_pair(dim):
     return psi, phi
 
 
-# SHA-256 of stdout, taken while np.array2string printed the matrices.
+# SHA-256 of stdout.
 SOLVE_DIGESTS = [
-    ("0", "236a2492c52e5368600579d8a94fea002316a98125cc178f2628ba8bc781e14d"),
-    ("0.3", "11ba556b258e4dd125a69474ede5179542b2ec9ff995895a14cfbe52fc8f2aee"),
-    (repr(ROOT2 / 2), "3a0246e8d49d5a9551e662c0e3c5c3e42f0c624d9852248ef67fa63a2886395f"),
+    ("0", "b44f9fcd8e4ad18474373de62a91fc8ed0257182f8046ad767f34314910b86a6"),
+    ("0.3", "48a9794ef2f92cf99ebd577b6229dd30d232720a6f97aef5feee4a92a4a42d69"),
+    (repr(ROOT2 / 2), "218f9ce50c18ba227e0f61ad2e0ab7cbbf82cbf39b52e355003576a6bb71e12a"),
     ("0.9", "f9f066af3e314c4644d76dc504793ca678316ab5cf377a1a815753c81f11f4eb"),
 ]
 REDUCE_PAIRS = [
     (3, [[1, 0], [0, 0], [0, 0]], [[0.8, 0], [0, 0.36], [0.48, 0]],
      "f5cbce3d91c779ba0e51db0702f7adcf764a9ddf64623bfb0481028f6b7d9bb6"),
-    (40, *_wide_pair(40), "5e75b9e865459e264655accd6b073133e6a5547407aed0c33dd329865a9e353b"),
+    (40, *_wide_pair(40), "41bb5e922391a3850ac68de874b3d93dbb12a47c232176d29a2a133fa63f87a6"),
 ]
 
 
-# SHA-256 of stdout, taken while the report was a dataclass with its own JSON
-# converter and simulate solved at the raw overlap before grouping.
+# SHA-256 of stdout.
 PINNED_RUNS = {
     "report": ["report", "--epsilon", "0.2"],
     "report-json": ["report", "--epsilon", "0.2", "--json"],
     "simulate": ["simulate", "--trials", "1000", "--seed", "3"],
 }
 RUN_DIGESTS = [
-    ("report", "0", "6610a8565633b90b4dfa88929cc9be74a6b6c9cea1aae28d7c6da134b36e4e47"),
-    ("report-json", "0", "f5fc130dc35feb919af46ab2679aa8eb26ae30a1e173bb16a0e42f78b6557a14"),
+    ("report", "0", "39c1cffeac67ba98f586f7924f3fbe88e5038a8f6dfd8dd1e461464029393736"),
+    ("report-json", "0", "91e13e8ed25dd13da9a51eb45572e0a10f754200cf6d91c82470245fa813b088"),
     ("simulate", "0", "f877de1bab1f10fc25530e64e580b03dc51a8c12816aa4cd179cba447b53614e"),
-    ("report", "0.5", "a83b86e514516769ed555e52e658b1bb5827141fe18d86ee9bf9b29cf7918710"),
-    ("report-json", "0.5", "edd0c4c46d968dee1f94f6d4be92865087912dbb79115c488ef9fb1dec693544"),
-    ("simulate", "0.5", "3eca6e14bda3275a2f097f78146387e71d79a754e6a15a9bc0a849e06871aa91"),
-    ("report", repr(ROOT2 / 2), "3a7909974c722d2e99fa477b72587bf7d7431638dcabb6e712131d9755cc9d02"),
-    ("report-json", repr(ROOT2 / 2), "ef10caeda090b5301b9fc4c5b89677d9880062869c91463786e5f98c9e4ee500"),
+    ("report", "0.5", "941baf311c5db742d58520e9cecc02bbe5e04052c3f69d0ef6dca8ac0dc37bbb"),
+    ("report-json", "0.5", "a820b21793d1588865ad266772a5c720117dea98cda22e458874186743fc090d"),
+    ("simulate", "0.5", "fa028d8732cb0a583c738e05df2ba5f1aa8dfb93aacee57246b8342e1f4926a8"),
+    ("report", repr(ROOT2 / 2), "5c3c06fcc9682d46424f9859d72d2fb9c1f4e11fe5b0c83533c10131b9adce74"),
+    ("report-json", repr(ROOT2 / 2), "81f39673a84345997cc04184d816c1fade5464a735367cf8e2c1fb46fc432d34"),
     ("simulate", repr(ROOT2 / 2), "64751e3201621bc831692599b15aa481c54dcddfe7956cfa53f11060efd6aa90"),
-    ("report", "0.9", "cc9888a78f0793c8607a09403e3d17e83fd26c7dc78f249b43021a990e9925f9"),
-    ("report-json", "0.9", "fa7150ca5a8344b1ecab21f693c66a9dd57e164773aef0d7cf36a75ef6dd3440"),
+    ("report", "0.9", "76b0bd4e445f65890180ce884e32b1af09f679368fdfd0fa0ff7d0ca4640b8cc"),
+    ("report-json", "0.9", "12865e40d642465661e0e612bf65996fb0d528586af56e98237202fe0910c3af"),
     ("simulate", "0.9", "508cc16287260785a8f4079c010d1fa9e5b4dbb0dbbffff7ca6b4ed80d9a45f9"),
     ("report", "0.999", "c5f289642c701258fee885c667f967d2d76295abbea63ea6d539d5c81c6d1ef2"),
     ("report-json", "0.999", "b04c1923b195a72c196b8980ea2c729d97b7a61bcca4cf63232cd5393f408bec"),
@@ -495,7 +522,7 @@ def test_reduce_bytes_pinned(tmp_path, capsys, dim, psi, phi, digest):
 
 
 def _solved(c, which):
-    angle = OverlapAngle.from_cos(c)
+    angle = OverlapAngle(cos=c)
     sol = solve_measurement(angle)
     if which == "M":
         return build_M(sol.alpha, sol.beta)
@@ -522,7 +549,7 @@ PRINTED_ARRAYS = {
                                            st.floats(0.0, FEASIBILITY_BOUNDARY)),
                         st.sampled_from("MCP")),
     "C-infeasible": st.floats(FEASIBILITY_BOUNDARY + 1e-9, 0.999999).map(
-        lambda c: build_C(OverlapAngle.from_cos(c))),
+        lambda c: build_C(OverlapAngle(cos=c))),
     "bases": st.builds(_basis, st.integers(2, 64), st.floats(0.0, 0.999),
                        st.integers(0, 2**32 - 1), st.booleans()),
     "dyadic-ties": hnp.arrays(float, _shapes, elements=st.integers(-2**12, 2**12).map(lambda k: k / 2**7)),

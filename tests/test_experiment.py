@@ -20,7 +20,7 @@ from pbrkit import (
 
 
 def _solved_matrix(cos_omega):
-    angle = OverlapAngle.from_cos(cos_omega)
+    angle = OverlapAngle(cos=cos_omega)
     sol = solve_measurement(angle)
     return outcome_matrix(angle, sol.alpha, sol.beta)
 
@@ -86,13 +86,13 @@ def test_sample_rejects_bad_trials():
 
 
 def test_report_zero_epsilon_is_vacuous():
-    report = contradiction_report(OverlapAngle.from_cos(0.5), 0.0)
+    report = contradiction_report(OverlapAngle(cos=0.5), 0.0)
     assert report["compat_bound"] == 0.0
     assert report["contradiction"] is False
 
 
 def test_report_feasible_overlap():
-    report = contradiction_report(OverlapAngle.from_cos(0.5), 0.1)
+    report = contradiction_report(OverlapAngle(cos=0.5), 0.1)
     assert report["n"] == 2
     assert report["compat_bound"] == pytest.approx(0.01, abs=1e-15)
     assert report["max_diagonal"] <= 1e-10
@@ -100,7 +100,7 @@ def test_report_feasible_overlap():
 
 
 def test_report_grouped_overlap():
-    report = contradiction_report(OverlapAngle.from_cos(0.9), 0.2)
+    report = contradiction_report(OverlapAngle(cos=0.9), 0.2)
     assert report["n"] == 8
     assert report["group_size"] == 4
     assert report["compat_bound"] == pytest.approx(2.56e-6, rel=1e-12)
@@ -110,13 +110,13 @@ def test_report_grouped_overlap():
 
 def test_report_rejects_bad_epsilon():
     with pytest.raises(BadEpsilon):
-        contradiction_report(OverlapAngle.from_cos(0.5), -0.1)
+        contradiction_report(OverlapAngle(cos=0.5), -0.1)
     with pytest.raises(BadEpsilon):
-        contradiction_report(OverlapAngle.from_cos(0.5), 1.1)
+        contradiction_report(OverlapAngle(cos=0.5), 1.1)
 
 
 def test_render_report_names_all_preparations():
-    text = render_report(contradiction_report(OverlapAngle.from_cos(0.8), 0.3))
+    text = render_report(contradiction_report(OverlapAngle(cos=0.8), 0.3))
     for j in (1, 2, 3, 4):
         assert f"preparation {j}:" in text
         assert f"outcome {j} forbidden" in text
@@ -125,12 +125,12 @@ def test_render_report_names_all_preparations():
 
 
 def test_render_report_vacuous_case():
-    text = render_report(contradiction_report(OverlapAngle.from_cos(0.8), 0.0))
+    text = render_report(contradiction_report(OverlapAngle(cos=0.8), 0.0))
     assert "no contradiction" in text
 
 
 def test_report_record_round_trips_through_json():
-    report = contradiction_report(OverlapAngle.from_cos(0.9), 0.2)
+    report = contradiction_report(OverlapAngle(cos=0.9), 0.2)
     record = json.loads(json.dumps(report))
     assert record == report
     assert record["n"] == 8

@@ -9,7 +9,7 @@ import pytest
 from _reference import make_pair
 from pbrkit import elementwise
 from pbrkit.measurement import build_C, build_M
-from pbrkit.states import reduce_pair
+from pbrkit.states import OverlapAngle, reduce_pair
 
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
@@ -31,7 +31,7 @@ def test_kron_identity_matrices():
 
 def test_kron_orthogonal_pair_expansion():
     # column 1 of C is psi (x) phi, psi the high-order factor
-    np.testing.assert_allclose(build_C(math.pi / 2)[:, 1], [0.5, -0.5, 0.5, -0.5], atol=1e-15)
+    np.testing.assert_allclose(build_C(OverlapAngle(cos=0.0))[:, 1], [0.5, -0.5, 0.5, -0.5], atol=1e-15)
 
 
 def test_kron_associative_on_vectors():
@@ -56,7 +56,7 @@ def test_inner_product_orthonormal_basis():
 
 @pytest.mark.parametrize("omega", np.linspace(0.05, math.pi / 2, 9))
 def test_inner_product_pair_overlap(omega):
-    pair = make_pair(omega)
+    pair = make_pair(OverlapAngle(cos=math.cos(omega)))
     assert abs(np.vdot(pair.psi, pair.phi) - math.cos(omega)) <= 1e-12
 
 
@@ -104,7 +104,7 @@ def test_is_unitary_random_measurement_operators():
 
 def test_is_unitary_rejects_preparation_operator():
     # columns of C are non-orthogonal product states
-    assert _unitarity_residual(build_C(math.pi / 4)) > 0.1
+    assert _unitarity_residual(build_C(OverlapAngle(cos=math.cos(math.pi / 4)))) > 0.1
 
 
 def test_is_unitary_implies_orthonormal_columns():

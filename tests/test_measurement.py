@@ -25,12 +25,13 @@ ROOT2 = math.sqrt(2.0)
 
 
 def test_build_C_first_column_is_psi_psi():
-    pair = make_pair(0.6)
-    np.testing.assert_allclose(build_C(0.6)[:, 0], np.kron(pair.psi, pair.psi), atol=1e-15)
+    omega = OverlapAngle(cos=math.cos(0.6))
+    pair = make_pair(omega)
+    np.testing.assert_allclose(build_C(omega)[:, 0], np.kron(pair.psi, pair.psi), atol=1e-15)
 
 
 def test_build_C_columns_unit_norm():
-    c = build_C(0.9)
+    c = build_C(OverlapAngle(cos=math.cos(0.9)))
     np.testing.assert_allclose(np.linalg.norm(c, axis=0), np.ones(4), atol=1e-12)
 
 
@@ -44,13 +45,13 @@ def test_build_C_orthogonal_angle_columns():
         ],
         dtype=float,
     )
-    np.testing.assert_allclose(build_C(math.pi / 2), expected, atol=1e-15)
+    np.testing.assert_allclose(build_C(OverlapAngle(cos=0.0)), expected, atol=1e-15)
 
 
 def test_build_C_entrywise_pattern():
     # entries are the sign pattern above with c^2, cs, s^2 magnitudes
-    omega = OverlapAngle(0.9)
-    c, s = math.cos(omega.half), math.sin(omega.half)
+    omega = OverlapAngle(cos=math.cos(0.9))
+    c, s = omega.cos_half, omega.sin_half
     expected = np.array(
         [
             [c * c, c * c, c * c, c * c],
@@ -89,21 +90,21 @@ def test_build_M_always_unitary():
 
 
 def test_solve_beta_at_boundary():
-    sol = solve_beta(OverlapAngle.from_cos(ROOT2 / 2))
+    sol = solve_beta(OverlapAngle(cos=ROOT2 / 2))
     assert sol.feasible
     assert sol.cos_beta_raw == pytest.approx(1.0, abs=1e-12)
     assert sol.beta == pytest.approx(0.0, abs=1e-6)
 
 
 def test_solve_beta_orthogonal():
-    sol = solve_beta(OverlapAngle.from_cos(0.0))
+    sol = solve_beta(OverlapAngle(cos=0.0))
     assert sol.feasible
     assert sol.cos_beta_raw == pytest.approx(-1.0, abs=1e-12)
     assert sol.beta == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_solve_beta_infeasible():
-    sol = solve_beta(OverlapAngle.from_cos(0.8))
+    sol = solve_beta(OverlapAngle(cos=0.8))
     assert not sol.feasible
     assert sol.beta is None
     assert sol.cos_beta_raw > 1.0
@@ -111,22 +112,22 @@ def test_solve_beta_infeasible():
 
 def test_solve_beta_frozen_values():
     # frozen from independent evaluation of both closed forms
-    assert solve_beta(OverlapAngle.from_cos(0.01)).cos_beta_raw == pytest.approx(
+    assert solve_beta(OverlapAngle(cos=0.01)).cos_beta_raw == pytest.approx(
         -0.9999489885984185, abs=1e-12
     )
-    assert solve_beta(OverlapAngle.from_cos(0.99)).cos_beta_raw == pytest.approx(
+    assert solve_beta(OverlapAngle(cos=0.99)).cos_beta_raw == pytest.approx(
         687.6856569785856, rel=1e-12
     )
 
 
 def test_cos_beta_forms_agree():
     for c in np.linspace(0.005, 0.995, 200):
-        omega = OverlapAngle.from_cos(float(c))
+        omega = OverlapAngle(cos=float(c))
         assert abs(cos_beta_raw(omega.cos) - cos_beta_tan_form(omega)) <= 1e-10
 
 
 def test_cos_beta_monotone_in_cos_omega():
-    grid = [solve_beta(OverlapAngle.from_cos(float(c))).cos_beta_raw
+    grid = [solve_beta(OverlapAngle(cos=float(c))).cos_beta_raw
             for c in np.linspace(0.01, 0.99, 99)]
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
@@ -134,53 +135,53 @@ def test_cos_beta_monotone_in_cos_omega():
 def test_feasibility_matches_raw_magnitude():
     # feasible exactly when the raw cosine is attainable
     for c in np.linspace(0.005, 0.995, 199):
-        sol = solve_beta(OverlapAngle.from_cos(float(c)))
+        sol = solve_beta(OverlapAngle(cos=float(c)))
         assert sol.feasible == (abs(sol.cos_beta_raw) <= 1.0 + 1e-12)
         assert sol.feasible == (c <= FEASIBILITY_BOUNDARY + 1e-12)
 
 
 def test_solve_alpha_orthogonal_case():
     # t = 1, beta = pi: rhs = -1 + 2 = 1, so alpha = 0
-    assert solve_alpha(math.pi / 2, math.pi) == pytest.approx(0.0, abs=1e-12)
+    assert solve_alpha(OverlapAngle(cos=0.0), math.pi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_alpha_boundary_case():
     # t = sqrt(2) - 1, beta = 0: t^2 + 2t = 1 exactly, so rhs = -1 and alpha = pi
-    omega = OverlapAngle.from_cos(ROOT2 / 2)
+    omega = OverlapAngle(cos=ROOT2 / 2)
     assert solve_alpha(omega, 0.0) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_solve_alpha_rejects_wrong_beta():
     with pytest.raises(InconsistentPhases):
-        solve_alpha(math.pi / 2, 0.0)
+        solve_alpha(OverlapAngle(cos=0.0), 0.0)
 
 
 def test_solve_measurement_unit_phase_modulus():
     for c in np.linspace(0.0, ROOT2 / 2, 50):
-        angle = OverlapAngle.from_cos(float(c))
+        angle = OverlapAngle(cos=float(c))
         sol = solve_measurement(angle)
         assert sol.feasible
         assert sol.alpha is not None
-        t = math.tan(angle.half)
+        t = angle.tan_half
         rhs = -(t * t) * cmath.exp(2j * sol.beta) - 2.0 * t * cmath.exp(1j * sol.beta)
         assert abs(abs(rhs) - 1.0) <= 1e-10
 
 
 def test_diagonal_residual_solved_phases_vanish():
-    angle = OverlapAngle.from_cos(0.5)
+    angle = OverlapAngle(cos=0.5)
     sol = solve_measurement(angle)
     assert abs(diagonal_residual(angle, sol.alpha, sol.beta)) <= 1e-10
 
 
 def test_diagonal_residual_unit_phases():
     # all phases 1: 1/4 + 1/2 + 1/4 = 1
-    assert diagonal_residual(math.pi / 2, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert diagonal_residual(OverlapAngle(cos=0.0), 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diagonal_entries_all_equal_off_solution():
     rng = np.random.default_rng(29)
     for _ in range(25):
-        omega = OverlapAngle(rng.uniform(0.05, math.pi / 2))
+        omega = OverlapAngle(cos=math.cos(rng.uniform(0.05, math.pi / 2)))
         alpha, beta = rng.uniform(-math.pi, math.pi, size=2)
         diag = np.diag(build_M(alpha, beta) @ build_C(omega))
         assert np.abs(diag - diag[0]).max() <= 1e-12
@@ -191,7 +192,7 @@ def test_diagonal_entries_all_equal_off_solution():
 def test_outcome_matrix_columns_stochastic():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        omega = OverlapAngle(rng.uniform(0.05, math.pi / 2))
+        omega = OverlapAngle(cos=math.cos(rng.uniform(0.05, math.pi / 2)))
         alpha, beta = rng.uniform(-math.pi, math.pi, size=2)
         p = outcome_matrix(omega, alpha, beta)
         assert p.min() >= 0.0 and p.max() <= 1.0 + 1e-12
@@ -200,19 +201,19 @@ def test_outcome_matrix_columns_stochastic():
 
 def test_outcome_matrix_zero_diagonal_at_solution():
     for c in (0.0, 0.2, 0.5, ROOT2 / 2):
-        angle = OverlapAngle.from_cos(c)
+        angle = OverlapAngle(cos=c)
         sol = solve_measurement(angle)
         p = outcome_matrix(angle, sol.alpha, sol.beta)
         assert np.diag(p).max() <= 1e-10
 
 
 def test_outcome_matrix_anti_diagonal_at_orthogonal():
-    p = outcome_matrix(math.pi / 2, 0.0, math.pi)
+    p = outcome_matrix(OverlapAngle(cos=0.0), 0.0, math.pi)
     np.testing.assert_allclose(p, np.fliplr(np.eye(4)), atol=1e-12)
 
 
 def test_outcome_matrix_phase_periodicity():
-    omega = OverlapAngle.from_cos(0.4)
+    omega = OverlapAngle(cos=0.4)
     base = outcome_matrix(omega, 0.3, -0.9)
     shifted = outcome_matrix(omega, 0.3 + 2 * math.pi, -0.9 + 2 * math.pi)
     np.testing.assert_allclose(shifted, base, atol=1e-12)

@@ -1,14 +1,16 @@
 """Property tests over the whole input domain.
 
 These carry the correctness checks the library does not repeat at run time:
-the zero diagonal of M C, the closed form of that diagonal, unitarity of M,
-stochastic outcome columns, agreement of the two cos(beta) forms, the
-tensor-square form of C, the device-count bounds, minimality of the
-device counts, the tensor-power overlap law and the reduce_pair round trip.
+the closed half-angle forms, the zero diagonal of M C, the closed form of
+that diagonal, unitarity of M, stochastic outcome columns, agreement of the
+two cos(beta) forms, the tensor-square form of C, the device-count bounds,
+minimality of the device counts, the tensor-power overlap law and the
+reduce_pair round trip.
 Every test is derandomized, so a run always draws the same examples.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from hypothesis import given, settings
@@ -29,12 +31,13 @@ from pbrkit import (
     reduce_pair,
     solve_measurement,
 )
+from pbrkit.reduction import _settle
 
 seeded = settings(derandomize=True, deadline=None)
 
 feasible_cos = st.floats(0.0, FEASIBILITY_BOUNDARY)
 any_cos = st.floats(0.0, 0.999999)
-omegas = st.floats(1e-3, math.pi / 2)
+overlaps = st.floats(0.0, math.cos(1e-3)).map(lambda c: OverlapAngle(cos=c))
 phases = st.floats(-1e3, 1e3)
 
 
@@ -52,18 +55,40 @@ edge_cos = st.sampled_from(
     _ulps_around(FEASIBILITY_BOUNDARY, 4)
     + _ulps_around(FEASIBILITY_BOUNDARY + BOUNDARY_TOL, 4)
     + [1.0 - 10.0**-k for k in range(6, 16)]
+    + [math.nextafter(1.0, 0.0)]
     + np.linspace(0.01, 0.99, 20000)[[0, 1, -2, -1]].tolist()
 )
 
-# tan(omega/2) below what an overlap from the CLI reaches (7.4e-9), where the
+# tan(omega/2) below what an overlap reaches (2^-27 = 7.45e-9), where the
 # computed 2^(1/n) - 1 stays flat over long runs of consecutive counts
 tiny_tan = st.one_of(st.sampled_from([10.0**-k for k in range(9, 301)]), st.floats(1e-300, 1e-9))
+
+
+def _within_one_ulp(got: float, exact: Decimal) -> bool:
+    """``got`` is the correctly rounded ``exact`` or one of its two neighbours."""
+    nearest = float(exact)
+    return abs(got - nearest) <= math.ulp(nearest)
+
+
+@settings(derandomize=True, deadline=None, max_examples=2000)
+@given(st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([1.0 - 2.0**-k for k in range(1, 54)] + [1.0 - 10.0**-k for k in range(1, 17)]),
+))
+def test_half_angles_within_one_ulp(c):
+    omega = OverlapAngle(cos=c)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(c)
+        assert _within_one_ulp(omega.cos_half, ((1 + x) / 2).sqrt())
+        assert _within_one_ulp(omega.sin_half, ((1 - x) / 2).sqrt())
+        assert _within_one_ulp(omega.tan_half, ((1 - x) / (1 + x)).sqrt())
 
 
 @seeded
 @given(feasible_cos)
 def test_zero_diagonal_at_solved_phases(c):
-    angle = OverlapAngle.from_cos(c)
+    angle = OverlapAngle(cos=c)
     sol = solve_measurement(angle)
     assert sol.feasible
     amplitudes = build_M(sol.alpha, sol.beta) @ build_C(angle)
@@ -71,7 +96,7 @@ def test_zero_diagonal_at_solved_phases(c):
 
 
 @seeded
-@given(omegas, phases, phases)
+@given(overlaps, phases, phases)
 def test_diagonal_residual_is_every_diagonal_entry(omega, alpha, beta):
     diag = np.diag(build_M(alpha, beta) @ build_C(omega))
     assert np.abs(diag - diagonal_residual(omega, alpha, beta)).max() <= 1e-12
@@ -85,7 +110,7 @@ def test_measurement_is_unitary(alpha, beta):
 
 
 @seeded
-@given(omegas, phases, phases)
+@given(overlaps, phases, phases)
 def test_outcome_columns_sum_to_one(omega, alpha, beta):
     p = outcome_matrix(omega, alpha, beta)
     assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-12
@@ -94,12 +119,12 @@ def test_outcome_columns_sum_to_one(omega, alpha, beta):
 @seeded
 @given(feasible_cos)
 def test_cos_beta_forms_agree(c):
-    omega = OverlapAngle.from_cos(c)
+    omega = OverlapAngle(cos=c)
     assert abs(cos_beta_raw(omega.cos) - cos_beta_tan_form(omega)) <= 1e-10
 
 
 @seeded
-@given(omegas)
+@given(overlaps)
 def test_build_C_is_the_joint_preparations(omega):
     # bit for bit, signed zeros included: solve prints C
     pair = make_pair(omega)
@@ -112,7 +137,7 @@ def test_build_C_is_the_joint_preparations(omega):
 @seeded
 @given(any_cos)
 def test_device_counts_even_minimal_and_ordered(c):
-    omega = OverlapAngle.from_cos(c)
+    omega = OverlapAngle(cos=c)
     plan = grouping_plan(omega)
     m = plan.group_size
     assert plan.n == 2 * m
@@ -132,21 +157,27 @@ def _minimal_by_substitution(holds, count: int, floor: int) -> bool:
     st.lists(tiny_tan, max_size=5),
 )
 def test_counts_minimal_by_direct_substitution(cosines, tiny_halves):
-    overlaps = [OverlapAngle.from_cos(c) for c in cosines]
-    for omega in overlaps:
-        c, m = omega.cos, grouping_plan(omega).group_size
+    for c in cosines:
+        omega = OverlapAngle(cos=c)
+        m = grouping_plan(omega).group_size
         assert _minimal_by_substitution(lambda k: c**k <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL, m, 1)
-    for omega in overlaps + [OverlapAngle(2 * math.atan(t)) for t in tiny_halves]:
-        t, n = math.tan(omega.half), min_n_pbr(omega)
+        t, n = omega.tan_half, min_n_pbr(omega)
         assert _minimal_by_substitution(lambda k: t >= 2.0 ** (1.0 / k) - 1.0 - BOUNDARY_TOL, n, 2)
+    # no overlap reaches these; min_n_pbr's condition and seed drive the settle directly
+    for t in tiny_halves:
+        def holds(k, t=t):
+            return t >= 2.0 ** (1.0 / k) - 1.0 - BOUNDARY_TOL
+
+        seed = max(2, math.ceil(math.log(2.0) / math.log1p(t + BOUNDARY_TOL) - 1e-9))
+        assert _minimal_by_substitution(holds, _settle(holds, seed, floor=2), 2)
 
 
 @seeded
-@given(omegas, st.integers(1, 10))
+@given(overlaps, st.integers(1, 10))
 def test_tensor_power_overlap_law(omega, m):
     pair = make_pair(omega)
     overlap = np.vdot(product_state(pair.psi, m), product_state(pair.phi, m))
-    assert abs(overlap - math.cos(omega) ** m) <= 1e-10
+    assert abs(overlap - omega.cos**m) <= 1e-10
 
 
 @seeded

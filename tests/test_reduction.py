@@ -8,6 +8,7 @@ import pytest
 
 from _reference import make_pair, product_state
 from pbrkit import (
+    BOUNDARY_TOL,
     FEASIBILITY_BOUNDARY,
     AngleOutOfRange,
     GridOutOfRange,
@@ -18,6 +19,7 @@ from pbrkit import (
     reduce_pair,
     solve_beta,
 )
+from pbrkit.reduction import _settle
 
 ROOT2 = math.sqrt(2.0)
 
@@ -27,14 +29,14 @@ ROOT2 = math.sqrt(2.0)
     [(0.3, 2), (0.5, 2), (ROOT2 / 2, 2), (0.72, 4), (0.75, 4), (0.8, 4), (0.9, 8), (0.95, 14), (0.99, 70)],
 )
 def test_grouping_plan_values(cos_omega, n):
-    plan = grouping_plan(OverlapAngle.from_cos(cos_omega))
+    plan = grouping_plan(OverlapAngle(cos=cos_omega))
     assert plan.n == n
     assert plan.group_size == n // 2
 
 
 def test_grouping_plan_invariants():
     for c in np.linspace(0.01, 0.995, 150):
-        plan = grouping_plan(OverlapAngle.from_cos(float(c)))
+        plan = grouping_plan(OverlapAngle(cos=float(c)))
         m = plan.group_size
         assert plan.n == 2 * m and plan.n >= 2
         # feasible at the chosen size, infeasible one group member earlier
@@ -49,49 +51,61 @@ def test_grouping_plan_invariants():
     [(0.3, 2), (0.5, 2), (ROOT2 / 2, 2), (0.72, 3), (0.75, 3), (0.8, 3), (0.9, 4), (0.95, 5), (0.99, 11)],
 )
 def test_min_n_pbr_values(cos_omega, n):
-    assert min_n_pbr(OverlapAngle.from_cos(cos_omega)) == n
+    assert min_n_pbr(OverlapAngle(cos=cos_omega)) == n
 
 
 def test_min_n_pbr_boundary_exact():
     # tan(omega/2) = sqrt(2) - 1 meets the n = 2 condition with equality
-    assert min_n_pbr(OverlapAngle.from_cos(ROOT2 / 2)) == 2
+    assert min_n_pbr(OverlapAngle(cos=ROOT2 / 2)) == 2
 
 
 def test_min_n_pbr_minimality():
     for c in np.linspace(0.01, 0.995, 150):
-        n = min_n_pbr(OverlapAngle.from_cos(float(c)))
-        t = math.tan(OverlapAngle.from_cos(float(c)).half)
+        n = min_n_pbr(OverlapAngle(cos=float(c)))
+        t = OverlapAngle(cos=float(c)).tan_half
         assert t >= 2.0 ** (1.0 / n) - 1.0 - 1e-12
         if n > 2:
             assert t < 2.0 ** (1.0 / (n - 1)) - 1.0
 
 
 def test_min_n_pbr_tiny_angle_returns_quickly():
-    # 2^(1/n) - 1 is flat over ~10^8 consecutive counts here, too many to walk one by one
+    # the least tan(omega/2) an overlap holds: 2^-27, at cos(omega) = 1 - 2^-53
     start = time.perf_counter()
-    n = min_n_pbr(1e-300)
+    n = min_n_pbr(OverlapAngle(cos=math.nextafter(1.0, 0.0)))
     assert time.perf_counter() - start < 1.0
-    t = math.tan(5e-301)
+    t = 2.0**-27
     assert t >= 2.0 ** (1.0 / n) - 1.0 - 1e-12
     assert t < 2.0 ** (1.0 / (n - 1)) - 1.0 - 1e-12
+    # below it, at tan(omega/2) = tan(5e-301), 2^(1/n) - 1 is flat over ~10^8
+    # consecutive counts, too many to walk one by one, from either side
+    t = math.tan(5e-301)
+
+    def holds(k):
+        return t >= 2.0 ** (1.0 / k) - 1.0 - BOUNDARY_TOL
+
+    for seed in (2, 2**60):
+        start = time.perf_counter()
+        n = _settle(holds, seed, floor=2)
+        assert time.perf_counter() - start < 1.0
+        assert holds(n) and not holds(n - 1)
 
 
 def test_effective_pair_two_devices_is_identity():
     # one device per group leaves the overlap as it is
-    plan = grouping_plan(0.9272952180016122)
+    plan = grouping_plan(OverlapAngle(cos=math.cos(0.9272952180016122)))
     assert plan.n == 2
     assert plan.effective_omega.omega == pytest.approx(0.9272952180016122, abs=1e-12)
 
 
 def test_effective_pair_sixteen_dim_case():
     # two groups of four: the 16-dim group states reduce to overlap 0.9^4
-    base = make_pair(OverlapAngle.from_cos(0.9))
+    base = make_pair(OverlapAngle(cos=0.9))
     pair = reduce_pair(product_state(base.psi, 4), product_state(base.phi, 4))
     assert pair.omega.cos == pytest.approx(0.6561, abs=1e-12)
 
 
 def test_effective_pair_explicit_overlap_matches():
-    omega = OverlapAngle.from_cos(0.9)
+    omega = OverlapAngle(cos=0.9)
     plan = grouping_plan(omega)
     assert plan.n == 8
     base = make_pair(omega)
@@ -101,19 +115,19 @@ def test_effective_pair_explicit_overlap_matches():
 
 def test_effective_pair_feasible_at_plan_n():
     for c in (0.75, 0.9, 0.97):
-        assert solve_beta(grouping_plan(OverlapAngle.from_cos(c)).effective_omega).feasible
+        assert solve_beta(grouping_plan(OverlapAngle(cos=c)).effective_omega).feasible
 
 
 def test_comparison_table_values():
     # the fig2 device counts (n_pbr, n_alt) at two overlaps
     for c, counts in ((0.3, (2, 2)), (0.9, (4, 8))):
-        omega = OverlapAngle.from_cos(c)
+        omega = OverlapAngle(cos=c)
         assert (min_n_pbr(omega), grouping_plan(omega).n) == counts
 
 
 def test_comparison_table_dominance():
     for c in np.linspace(0.01, 0.99, 200):
-        omega = OverlapAngle.from_cos(float(c))
+        omega = OverlapAngle(cos=float(c))
         n_pbr, n_alt = min_n_pbr(omega), grouping_plan(omega).n
         assert n_alt >= n_pbr
         if c <= FEASIBILITY_BOUNDARY:
@@ -124,7 +138,7 @@ def test_alt_log_bound_raw_is_half_the_operative_count():
     # the halved logarithmic form reads 1 at the boundary where the true
     # minimal even count is 2
     assert alt_log_bound_raw(ROOT2 / 2) == pytest.approx(1.0, abs=1e-12)
-    assert grouping_plan(OverlapAngle.from_cos(ROOT2 / 2)).n == 2
+    assert grouping_plan(OverlapAngle(cos=ROOT2 / 2)).n == 2
 
 
 def test_alt_log_bound_raw_validates_range():
@@ -136,7 +150,7 @@ def test_alt_log_bound_raw_validates_range():
 
 def test_scalar_counts_are_python_ints():
     # report --json hands n to json.dumps, which rejects numpy integers
-    omega = OverlapAngle.from_cos(0.9)
+    omega = OverlapAngle(cos=0.9)
     plan = grouping_plan(omega)
     assert type(plan.n) is int and type(plan.group_size) is int
     assert type(min_n_pbr(omega)) is int
@@ -149,16 +163,21 @@ def test_array_counts_match_one_overlap_calls():
 
 
 def test_grouping_plan_rejects_angle_with_unit_cosine():
-    # omega = 1e-9 is a valid angle, but cos(omega) rounds to 1: no group
-    # size exists there, and the settle would never end
+    # no group size exists at cos(omega) = 1, where the settle would never
+    # end; the overlap refuses it, and one ulp below 1 a group size exists
     with pytest.raises(AngleOutOfRange, match=r"cos\(omega\) must lie in \[0, 1\), got 1.0"):
-        grouping_plan(1e-9)
+        grouping_plan(OverlapAngle(cos=1.0))
+    c = math.nextafter(1.0, 0.0)
+    m = grouping_plan(OverlapAngle(cos=c)).group_size
+    assert c**m <= FEASIBILITY_BOUNDARY + 1e-12 < c ** (m - 1)
 
 
 def test_min_n_pbr_rejects_angle_with_zero_half():
-    # omega = 5e-324 is a valid angle, but omega / 2 rounds to 0
-    with pytest.raises(AngleOutOfRange, match=r"tan\(omega/2\) must lie in \(0, 1\], got 0.0"):
-        min_n_pbr(5e-324)
+    # tan(omega/2) = 0 needs cos(omega) = 1, which the overlap refuses; one
+    # ulp below 1 it is 2^-27, not 0
+    with pytest.raises(AngleOutOfRange, match=r"cos\(omega\) must lie in \[0, 1\), got 1.0"):
+        min_n_pbr(OverlapAngle(cos=1.0))
+    assert OverlapAngle(cos=math.nextafter(1.0, 0.0)).tan_half == 2.0**-27
 
 
 def test_alt_log_bound_raw_validates_arrays():

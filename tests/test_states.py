@@ -27,42 +27,56 @@ def _gram_schmidt_pair(rng, dim, overlap):
 
 
 def test_overlap_angle_bounds():
-    OverlapAngle(math.pi / 2)
-    OverlapAngle(1e-6)
+    # omega = pi/2 and 1e-6 are in range; omega = 0 and pi/2 + 1e-9 are not
+    OverlapAngle(cos=math.cos(math.pi / 2))
+    OverlapAngle(cos=math.cos(1e-6))
     with pytest.raises(AngleOutOfRange):
-        OverlapAngle(0.0)
+        OverlapAngle(cos=math.cos(0.0))
     with pytest.raises(AngleOutOfRange):
-        OverlapAngle(math.pi / 2 + 1e-9)
+        OverlapAngle(cos=math.cos(math.pi / 2 + 1e-9))
 
 
 def test_overlap_angle_from_cos():
-    assert OverlapAngle.from_cos(0.0).omega == pytest.approx(math.pi / 2)
-    assert OverlapAngle.from_cos(0.5).cos == pytest.approx(0.5, abs=1e-15)
+    assert OverlapAngle(cos=0.0).omega == pytest.approx(math.pi / 2)
+    assert OverlapAngle(cos=0.5).cos == 0.5
     with pytest.raises(AngleOutOfRange):
-        OverlapAngle.from_cos(1.0)
+        OverlapAngle(cos=1.0)
     with pytest.raises(AngleOutOfRange):
-        OverlapAngle.from_cos(-0.1)
+        OverlapAngle(cos=-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.0, -1e-300])
+def test_overlap_angle_rejects(bad):
+    with pytest.raises(AngleOutOfRange, match=r"cos\(omega\) must lie in \[0, 1\), got "):
+        OverlapAngle(cos=bad)
+
+
+def test_overlap_angle_is_keyword_only():
+    # an angle passed where the cosine belongs is refused, not read as a cosine
+    with pytest.raises(TypeError):
+        OverlapAngle(0.5)
 
 
 def test_make_pair_orthogonal_case():
-    pair = make_pair(math.pi / 2)
+    pair = make_pair(OverlapAngle(cos=0.0))
     np.testing.assert_allclose(pair.psi, [ROOT2 / 2, ROOT2 / 2], atol=1e-15)
     np.testing.assert_allclose(pair.phi, [ROOT2 / 2, -ROOT2 / 2], atol=1e-15)
 
 
 def test_make_pair_overlap_matches_cos():
-    pair = make_pair(math.pi / 3)
+    pair = make_pair(OverlapAngle(cos=math.cos(math.pi / 3)))
     assert np.vdot(pair.psi, pair.phi) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_make_pair_rejects_zero_angle():
+    # omega = 0, cos(omega) = 1: no pair can be asked for
     with pytest.raises(AngleOutOfRange):
-        make_pair(0.0)
+        make_pair(OverlapAngle(cos=1.0))
 
 
 def test_reduce_pair_fixed_point():
     # inputs already in canonical 2-dim form come back unchanged
-    pair = make_pair(0.8)
+    pair = make_pair(OverlapAngle(cos=math.cos(0.8)))
     out = reduce_pair(pair.psi, pair.phi)
     assert out.phase_applied == 0.0
     assert out.omega.omega == pytest.approx(0.8, abs=1e-12)
@@ -109,7 +123,7 @@ def test_reduce_pair_non_finite_rejected(bad):
 
 def test_reduce_pair_round_trip_property():
     for omega in np.linspace(0.05, math.pi / 2, 25):
-        pair = make_pair(omega)
+        pair = make_pair(OverlapAngle(cos=math.cos(omega)))
         out = reduce_pair(pair.psi, pair.phi)
         assert abs(out.omega.omega - omega) <= 1e-12
 
@@ -133,13 +147,13 @@ def test_reduce_pair_invariants_random_pairs():
 
 
 def test_product_state_single_copy_identity():
-    pair = make_pair(0.7)
+    pair = make_pair(OverlapAngle(cos=math.cos(0.7)))
     np.testing.assert_array_equal(product_state(pair.psi, 1), pair.psi)
 
 
 def test_product_state_overlap_law():
     # <s^m | t^m> = <s|t>^m, checked against the explicit full-dim inner product
-    omega = OverlapAngle.from_cos(0.9)
+    omega = OverlapAngle(cos=0.9)
     pair = make_pair(omega)
     for m in (2, 3, 4):
         big_psi = product_state(pair.psi, m)
@@ -149,14 +163,14 @@ def test_product_state_overlap_law():
 
 
 def test_product_state_sixteen_dim_value():
-    omega = OverlapAngle.from_cos(0.9)
+    omega = OverlapAngle(cos=0.9)
     pair = make_pair(omega)
     overlap = np.vdot(product_state(pair.psi, 4), product_state(pair.phi, 4))
     assert overlap == pytest.approx(0.6561, abs=1e-12)
 
 
 def test_product_state_copies_out_of_range():
-    pair = make_pair(0.5)
+    pair = make_pair(OverlapAngle(cos=math.cos(0.5)))
     with pytest.raises(CopiesOutOfRange):
         product_state(pair.psi, 0)
     with pytest.raises(CopiesOutOfRange):
