@@ -14,7 +14,6 @@ from .errors import (
     DegeneratePair,
     DimMismatch,
     GridOutOfRange,
-    InconsistentPhases,
     ToolkitError,
 )
 from .experiment import (
@@ -25,7 +24,7 @@ from .experiment import (
     render_report,
     sample_outcomes,
 )
-from .linalg import TOL_NORM, elementwise
+from .linalg import TOL_NORM
 from .measurement import (
     BOUNDARY_TOL,
     FEASIBILITY_BOUNDARY,
@@ -35,8 +34,6 @@ from .measurement import (
     cos_beta_raw,
     diagonal_residual,
     outcome_matrix,
-    solve_alpha,
-    solve_beta,
     solve_measurement,
     within_boundary,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "FEASIBILITY_BOUNDARY",
     "GridOutOfRange",
     "GroupingPlan",
-    "InconsistentPhases",
     "MAX_TRIALS",
     "MeasurementSolution",
     "OverlapAngle",
@@ -76,15 +72,12 @@ __all__ = [
     "contradiction_report",
     "cos_beta_raw",
     "diagonal_residual",
-    "elementwise",
     "grouping_plan",
     "min_n_pbr",
     "outcome_matrix",
     "reduce_pair",
     "render_report",
     "sample_outcomes",
-    "solve_alpha",
-    "solve_beta",
     "solve_measurement",
     "within_boundary",
     "__version__",

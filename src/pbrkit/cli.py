@@ -388,7 +388,8 @@ def _load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_norm(name: str, vec: np.ndarray) -> np.ndarray:
-    dev = abs(float(np.linalg.norm(vec)) - 1.0)
+    with np.errstate(over="ignore"):  # entries past ~1.3e154 give norm inf, not a warning
+        dev = abs(float(np.linalg.norm(vec)) - 1.0)
     if not dev <= RENORM_LIMIT:  # NaN fails this too
         raise _UsageError(f"{name} norm deviates by {dev:.3e}, beyond {RENORM_LIMIT:g}")
     if dev > TOL_NORM:
@@ -510,19 +511,10 @@ def main(argv=None) -> int:
         return globals()["cmd_" + args.command](args)
     except _Exit as exc:
         return exc.args[0]
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegeneratePair as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BrokenPipeError:
         # the reader of the output went away; there is nobody left to tell
         return EXIT_USAGE
-    except OSError as exc:
+    except (_UsageError, ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,10 +17,6 @@ class DegeneratePair(ToolkitError, ValueError):
     """States are identical up to a global phase."""
 
 
-class InconsistentPhases(ToolkitError, ValueError):
-    """beta does not solve the zero-diagonal condition, so no unit-modulus phase exists."""
-
-
 class GridOutOfRange(ToolkitError, ValueError):
     """Grid value outside the open interval (0, 1)."""
 

@@ -16,11 +16,10 @@ past that boundary the closed form for cos(beta) exceeds 1.
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentPhases
 from .states import OverlapAngle
 
 # cos(omega) above sqrt(2)/2 admits no real beta.  The boundary is inclusive
@@ -43,8 +42,9 @@ _SIGNS = np.array(
 class MeasurementSolution:
     """Phases nulling the diagonal of M C, plus the feasibility verdict.
 
-    ``cos_beta_raw`` is the unclamped closed-form value; when it leaves
-    [-1, 1] the solve is infeasible and ``beta``/``alpha`` stay None.
+    ``cos_beta_raw`` is the unclamped closed-form value, a little above 1
+    in the clamped band; past the boundary the solve is infeasible and
+    ``beta``/``alpha`` are None.
     """
 
     beta: float | None
@@ -101,47 +101,28 @@ def cos_beta_raw(cos_omega):
     return (c * c + c - 1.0) / ((1.0 - c) * np.sqrt(1.0 - c * c))
 
 
-def solve_beta(omega: OverlapAngle) -> MeasurementSolution:
-    """Solve the zero-diagonal condition for beta; alpha is left unset.
+def solve_measurement(omega: OverlapAngle) -> MeasurementSolution:
+    """Solve the zero-diagonal condition for both phases.
 
     Feasibility is decided from cos(omega) against the boundary before any
     formula is evaluated; the raw closed-form cos(beta) is reported either
     way so callers can trace the curve past its +1 crossing.  On the
-    feasible range beta is the principal arccos of the clamped value.
-    """
-    feasible = within_boundary(omega.cos)
-    raw = float(cos_beta_raw(omega.cos))
-    beta = None
-    if feasible:
-        beta = math.acos(min(1.0, max(-1.0, raw)))
-    return MeasurementSolution(beta=beta, alpha=None, feasible=feasible, cos_beta_raw=raw)
-
-
-def solve_alpha(omega: OverlapAngle, beta: float) -> float:
-    """Recover alpha from the zero-diagonal condition at a solved beta.
-
-    The condition rearranges to
+    feasible range beta is the principal arccos of the clamped value, and
+    the condition rearranges to
 
         e^{i alpha} = -(tan^2(w/2) e^{2 i beta} + 2 tan(w/2) e^{i beta}) ,
 
-    whose right side has unit modulus exactly when beta solves the
-    cos(beta) equation.  Returns the principal argument in (-pi, pi].
+    whose right side has unit modulus at that beta; alpha is its principal
+    argument in (-pi, pi].
     """
-    t = omega.tan_half
-    rhs = -(t * t) * cmath.exp(2j * beta) - 2.0 * t * cmath.exp(1j * beta)
-    if abs(abs(rhs) - 1.0) > 1e-10:
-        raise InconsistentPhases(
-            f"|rhs| = {abs(rhs)!r}: beta = {beta!r} does not solve the zero-diagonal condition"
-        )
-    return cmath.phase(rhs)
-
-
-def solve_measurement(omega: OverlapAngle) -> MeasurementSolution:
-    """solve_beta plus, when feasible, the matching alpha."""
-    sol = solve_beta(omega)
-    if not sol.feasible:
-        return sol
-    return replace(sol, alpha=solve_alpha(omega, sol.beta))
+    feasible = within_boundary(omega.cos)
+    raw = float(cos_beta_raw(omega.cos))
+    beta = alpha = None
+    if feasible:
+        beta = math.acos(min(1.0, max(-1.0, raw)))
+        t = omega.tan_half
+        alpha = cmath.phase(-(t * t) * cmath.exp(2j * beta) - 2.0 * t * cmath.exp(1j * beta))
+    return MeasurementSolution(beta=beta, alpha=alpha, feasible=feasible, cos_beta_raw=raw)
 
 
 def diagonal_residual(omega: OverlapAngle, alpha: float, beta: float) -> complex:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridOutOfRange
-from .linalg import elementwise
 from .measurement import BOUNDARY_TOL, FEASIBILITY_BOUNDARY, within_boundary
 from .states import OverlapAngle
 
@@ -114,5 +113,6 @@ def alt_log_bound_raw(cos_omega):
     # with numpy 2.4.6, np.log differed from math.log in the last bit at
     # 15,390 of the 5,020,100 points of the fig2 grids at R = 200, 10^6 and
     # 20000..20199, and the CSV prints all 17 digits.
-    raw = -0.5 * _LOG_2 / elementwise(math.log, c)
+    log_c = np.fromiter(map(math.log, c.ravel().tolist()), float, c.size).reshape(c.shape)
+    raw = -0.5 * _LOG_2 / log_c
     return raw if c.ndim else float(raw)

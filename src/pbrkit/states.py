@@ -92,9 +92,11 @@ def reduce_pair(psi, phi) -> SymmetricPair:
         raise DimMismatch(f"states must have equal length, got {psi.shape} and {phi.shape}")
     if psi.size < 2:
         raise DimMismatch(f"states must have dim >= 2, got dim {psi.size}")
-    for name, vec in (("psi", psi), ("phi", phi)):
-        if not abs(np.linalg.norm(vec) - 1.0) <= TOL_NORM:  # NaN fails this too
-            raise ValueError(f"{name} is not normalized (norm {np.linalg.norm(vec)!r})")
+    with np.errstate(over="ignore"):  # entries past ~1.3e154 give norm inf, not a warning
+        norms = {"psi": np.linalg.norm(psi), "phi": np.linalg.norm(phi)}
+    for name, norm in norms.items():
+        if not abs(norm - 1.0) <= TOL_NORM:  # NaN fails this too
+            raise ValueError(f"{name} is not normalized (norm {norm!r})")
 
     overlap = complex(np.vdot(psi, phi))
     if abs(overlap) >= DEGENERACY_THRESHOLD:

@@ -23,7 +23,6 @@ from pbrkit import (
     outcome_matrix,
     reduce_pair,
     sample_outcomes,
-    solve_beta,
     solve_measurement,
 )
 from pbrkit import cli
@@ -53,12 +52,12 @@ def _gate(number, label, limit_s, body):
 
 def test_acceptance_1_feasibility_boundary():
     def body(check):
-        at_boundary = solve_beta(OverlapAngle(cos=BOUNDARY)).cos_beta_raw
+        at_boundary = solve_measurement(OverlapAngle(cos=BOUNDARY)).cos_beta_raw
         check(abs(at_boundary - 1.0) <= 1e-12, f"cos_beta({BOUNDARY}) = {at_boundary}, not 1")
-        at_zero = solve_beta(OverlapAngle(cos=0.0)).cos_beta_raw
+        at_zero = solve_measurement(OverlapAngle(cos=0.0)).cos_beta_raw
         check(abs(at_zero + 1.0) <= 1e-12, f"cos_beta(0) = {at_zero}, not -1")
         for c in (0.72, 0.8, 0.9, 0.99):
-            sol = solve_beta(OverlapAngle(cos=c))
+            sol = solve_measurement(OverlapAngle(cos=c))
             check(sol.cos_beta_raw > 1.0, f"raw at {c} is {sol.cos_beta_raw}, expected > 1")
             check(not sol.feasible, f"{c} reported feasible")
 

@@ -424,6 +424,19 @@ def test_reduce_rejects_non_finite(tmp_path, capsys, bad):
     assert captured.err.startswith("error: psi norm deviates by ")
 
 
+@pytest.mark.parametrize("name", ["psi", "phi"])
+def test_reduce_rejects_overflowing_norm(tmp_path, capsys, name):
+    # an entry past ~1.3e154 squares to inf: the norm deviates by inf, and
+    # numpy's overflow warning must not reach stderr (or, here, raise)
+    states = {"psi": [[1, 0], [0, 0]], "phi": [[1, 0], [0, 0]]}
+    states[name] = [[1e200, 0], [0, 0]]
+    path = _write_pair(tmp_path / "huge.json", 2, states["psi"], states["phi"])
+    assert cli.main(["reduce", "--in", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} norm deviates by inf, beyond 1e-08\n"
+
+
 JSON_NON_NUMBERS = {
     "psi_entry": ('{"dim": 2, "psi": [[true, false], [false, false]], "phi": [[0.6, 0], [0.8, 0]]}',
                   "'psi[0]' holds non-numeric values"),

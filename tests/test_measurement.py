@@ -8,16 +8,15 @@ import pytest
 
 from _reference import cos_beta_tan_form, make_pair
 from pbrkit import (
+    BOUNDARY_TOL,
     FEASIBILITY_BOUNDARY,
-    InconsistentPhases,
     OverlapAngle,
     build_C,
     build_M,
     cos_beta_raw,
     diagonal_residual,
+    grouping_plan,
     outcome_matrix,
-    solve_alpha,
-    solve_beta,
     solve_measurement,
 )
 
@@ -90,32 +89,33 @@ def test_build_M_always_unitary():
 
 
 def test_solve_beta_at_boundary():
-    sol = solve_beta(OverlapAngle(cos=ROOT2 / 2))
+    sol = solve_measurement(OverlapAngle(cos=ROOT2 / 2))
     assert sol.feasible
     assert sol.cos_beta_raw == pytest.approx(1.0, abs=1e-12)
     assert sol.beta == pytest.approx(0.0, abs=1e-6)
 
 
 def test_solve_beta_orthogonal():
-    sol = solve_beta(OverlapAngle(cos=0.0))
+    sol = solve_measurement(OverlapAngle(cos=0.0))
     assert sol.feasible
     assert sol.cos_beta_raw == pytest.approx(-1.0, abs=1e-12)
     assert sol.beta == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_solve_beta_infeasible():
-    sol = solve_beta(OverlapAngle(cos=0.8))
+    sol = solve_measurement(OverlapAngle(cos=0.8))
     assert not sol.feasible
     assert sol.beta is None
+    assert sol.alpha is None
     assert sol.cos_beta_raw > 1.0
 
 
 def test_solve_beta_frozen_values():
     # frozen from independent evaluation of both closed forms
-    assert solve_beta(OverlapAngle(cos=0.01)).cos_beta_raw == pytest.approx(
+    assert solve_measurement(OverlapAngle(cos=0.01)).cos_beta_raw == pytest.approx(
         -0.9999489885984185, abs=1e-12
     )
-    assert solve_beta(OverlapAngle(cos=0.99)).cos_beta_raw == pytest.approx(
+    assert solve_measurement(OverlapAngle(cos=0.99)).cos_beta_raw == pytest.approx(
         687.6856569785856, rel=1e-12
     )
 
@@ -127,7 +127,7 @@ def test_cos_beta_forms_agree():
 
 
 def test_cos_beta_monotone_in_cos_omega():
-    grid = [solve_beta(OverlapAngle(cos=float(c))).cos_beta_raw
+    grid = [solve_measurement(OverlapAngle(cos=float(c))).cos_beta_raw
             for c in np.linspace(0.01, 0.99, 99)]
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
@@ -135,36 +135,55 @@ def test_cos_beta_monotone_in_cos_omega():
 def test_feasibility_matches_raw_magnitude():
     # feasible exactly when the raw cosine is attainable
     for c in np.linspace(0.005, 0.995, 199):
-        sol = solve_beta(OverlapAngle(cos=float(c)))
+        sol = solve_measurement(OverlapAngle(cos=float(c)))
         assert sol.feasible == (abs(sol.cos_beta_raw) <= 1.0 + 1e-12)
         assert sol.feasible == (c <= FEASIBILITY_BOUNDARY + 1e-12)
 
 
 def test_solve_alpha_orthogonal_case():
     # t = 1, beta = pi: rhs = -1 + 2 = 1, so alpha = 0
-    assert solve_alpha(OverlapAngle(cos=0.0), math.pi) == pytest.approx(0.0, abs=1e-12)
+    sol = solve_measurement(OverlapAngle(cos=0.0))
+    assert sol.beta == math.pi
+    assert sol.alpha == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_alpha_boundary_case():
-    # t = sqrt(2) - 1, beta = 0: t^2 + 2t = 1 exactly, so rhs = -1 and alpha = pi
-    omega = OverlapAngle(cos=ROOT2 / 2)
-    assert solve_alpha(omega, 0.0) == pytest.approx(math.pi, abs=1e-12)
-
-
-def test_solve_alpha_rejects_wrong_beta():
-    with pytest.raises(InconsistentPhases):
-        solve_alpha(OverlapAngle(cos=0.0), 0.0)
+    # t = sqrt(2) - 1, beta = 0 (the raw cos(beta) clamps to 1): t^2 + 2t = 1
+    # exactly, so rhs = -1 and alpha = pi
+    sol = solve_measurement(OverlapAngle(cos=ROOT2 / 2))
+    assert sol.beta == 0.0
+    assert sol.alpha == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_solve_measurement_unit_phase_modulus():
-    for c in np.linspace(0.0, ROOT2 / 2, 50):
-        angle = OverlapAngle(cos=float(c))
+    # The solve takes alpha as the argument of rhs without re-checking |rhs|,
+    # so this covers every cosine it accepts: [0, sqrt(2)/2], the band up to
+    # 1e-12 above it where cos(beta) is clamped, and grouping_plan's
+    # effective overlaps, which land anywhere up to the band's top.
+    top = FEASIBILITY_BOUNDARY + BOUNDARY_TOL
+    below_top = [top]
+    for _ in range(20):
+        below_top.append(math.nextafter(below_top[-1], 0.0))
+    grouped = (
+        np.linspace(0.0, 0.999999, 500).tolist()
+        + [1.0 - 10.0**-k for k in range(6, 16)]
+        + [math.nextafter(1.0, 0.0)]
+    )
+    cosines = (
+        np.linspace(0.0, ROOT2 / 2, 50).tolist()
+        + np.linspace(FEASIBILITY_BOUNDARY, top, 50).tolist()
+        + below_top
+        + [grouping_plan(OverlapAngle(cos=c)).effective_omega.cos for c in grouped]
+    )
+    for c in cosines:
+        angle = OverlapAngle(cos=c)
         sol = solve_measurement(angle)
         assert sol.feasible
         assert sol.alpha is not None
         t = angle.tan_half
         rhs = -(t * t) * cmath.exp(2j * sol.beta) - 2.0 * t * cmath.exp(1j * sol.beta)
         assert abs(abs(rhs) - 1.0) <= 1e-10
+        assert sol.alpha == cmath.phase(rhs)
 
 
 def test_diagonal_residual_solved_phases_vanish():

@@ -59,6 +59,14 @@ edge_cos = st.sampled_from(
     + np.linspace(0.01, 0.99, 20000)[[0, 1, -2, -1]].tolist()
 )
 
+# every cosine the solve accepts: [0, sqrt(2)/2], the band up to 1e-12 above
+# it where cos(beta) is clamped, and the effective overlap of grouping_plan
+solvable_cos = st.one_of(
+    feasible_cos,
+    st.floats(FEASIBILITY_BOUNDARY, FEASIBILITY_BOUNDARY + BOUNDARY_TOL, exclude_min=True),
+    st.one_of(edge_cos, any_cos).map(lambda c: grouping_plan(OverlapAngle(cos=c)).effective_omega.cos),
+)
+
 # tan(omega/2) below what an overlap reaches (2^-27 = 7.45e-9), where the
 # computed 2^(1/n) - 1 stays flat over long runs of consecutive counts
 tiny_tan = st.one_of(st.sampled_from([10.0**-k for k in range(9, 301)]), st.floats(1e-300, 1e-9))
@@ -86,7 +94,7 @@ def test_half_angles_within_one_ulp(c):
 
 
 @seeded
-@given(feasible_cos)
+@given(solvable_cos)
 def test_zero_diagonal_at_solved_phases(c):
     angle = OverlapAngle(cos=c)
     sol = solve_measurement(angle)

@@ -17,7 +17,7 @@ from pbrkit import (
     grouping_plan,
     min_n_pbr,
     reduce_pair,
-    solve_beta,
+    solve_measurement,
 )
 from pbrkit.reduction import _settle
 
@@ -115,7 +115,7 @@ def test_effective_pair_explicit_overlap_matches():
 
 def test_effective_pair_feasible_at_plan_n():
     for c in (0.75, 0.9, 0.97):
-        assert solve_beta(grouping_plan(OverlapAngle(cos=c)).effective_omega).feasible
+        assert solve_measurement(grouping_plan(OverlapAngle(cos=c)).effective_omega).feasible
 
 
 def test_comparison_table_values():
@@ -160,6 +160,15 @@ def test_scalar_counts_are_python_ints():
 def test_array_counts_match_one_overlap_calls():
     c = np.linspace(0.01, 0.99, 97)
     assert alt_log_bound_raw(c).tolist() == [alt_log_bound_raw(float(x)) for x in c]
+
+
+def test_alt_log_bound_raw_is_libm_log_per_element():
+    # the figure CSV prints all 17 digits, and np.log can differ from libm's
+    # log in the last bit; the array keeps the grid's shape
+    grid = np.linspace(0.01, 0.99, 20000)
+    expected = [-0.5 * math.log(2.0) / math.log(x) for x in grid.tolist()]
+    assert alt_log_bound_raw(grid).tolist() == expected
+    assert alt_log_bound_raw(grid.reshape(100, 200)).ravel().tolist() == expected
 
 
 def test_grouping_plan_rejects_angle_with_unit_cosine():

@@ -121,6 +121,15 @@ def test_reduce_pair_non_finite_rejected(bad):
         reduce_pair(np.array([bad, 0.0]), np.array([0.6, 0.8]))
 
 
+@pytest.mark.parametrize("name", ["psi", "phi"])
+def test_reduce_pair_overflowing_norm_rejected(name):
+    # the squared norm overflows to inf: a ValueError, not numpy's RuntimeWarning
+    states = {"psi": np.array([0.6, 0.8]), "phi": np.array([0.8, 0.6])}
+    states[name] = np.array([1e200, 0.0])
+    with pytest.raises(ValueError, match=f"{name} is not normalized"):
+        reduce_pair(states["psi"], states["phi"])
+
+
 def test_reduce_pair_round_trip_property():
     for omega in np.linspace(0.05, math.pi / 2, 25):
         pair = make_pair(OverlapAngle(cos=math.cos(omega)))
