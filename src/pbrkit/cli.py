@@ -38,10 +38,6 @@ EXIT_CONTRADICTION = 4
 # on stderr); anything larger is rejected as a usage error.
 RENORM_LIMIT = 1e-8
 
-# Figure rows are computed and written this many at a time, so memory does
-# not grow with the resolution.
-CSV_BLOCK = 2048
-
 
 class _UsageError(Exception):
     """Flag or input problem; mapped to exit code 1 instead of argparse's 2."""
@@ -111,30 +107,9 @@ def _format_matrix(name: str, m: np.ndarray) -> str:
     return f"{name} =\n{_layout(words, m.shape, ' ', 140)}"
 
 
-def _figure_blocks(resolution: int):
-    """The grid ``np.linspace(0.01, 0.99, resolution)``, CSV_BLOCK points at a time.
-
-    Each point is computed as linspace computes it (0.01 + i * step, the last
-    one set to 0.99), so the blocks hold the same bits and the whole grid is
-    never allocated.  The resolution is checked at the call, not at the
-    first block.
-    """
-    if resolution < 2:
-        raise _UsageError(f"resolution must be >= 2, got {resolution}")
-    step = (0.99 - 0.01) / (resolution - 1)
-
-    def blocks():
-        for start in range(0, resolution, CSV_BLOCK):
-            grid = np.arange(start, min(start + CSV_BLOCK, resolution)) * step + 0.01
-            if start + CSV_BLOCK >= resolution:
-                grid[-1] = 0.99
-            yield grid
-
-    return blocks()
-
-
-# Figure CSVs are encoded this many rows at a time: the encoder's arrays for
-# one sub-block are the largest allocations of fig1/fig2.
+# Figure rows are computed and encoded this many at a time: the encoder's
+# arrays for one block are the largest allocations of fig1/fig2, and memory
+# does not grow with the resolution.
 ENCODE_ROWS = 1024
 
 # A float is laid out in at most this many characters; the longest %.17g of
@@ -247,17 +222,18 @@ def _float_field(values: np.ndarray):
 
 def _table_field(values: np.ndarray):
     """``"%d" % v`` of each integer of ``values``, or ``true``/``false`` of each
-    boolean, as _float_field lays them out: each distinct value is formatted
-    once, and the rows are gathered from that table."""
-    distinct, inverse = np.unique(values, return_inverse=True)
+    boolean, as _float_field lays them out: each run of equal adjacent values is
+    formatted once, and the rows repeat that table."""
+    ends = np.append(np.flatnonzero(values[1:] != values[:-1]), len(values) - 1)
     if values.dtype == bool:
-        texts = [b"true" if v else b"false" for v in distinct.tolist()]
+        texts = [b"true" if v else b"false" for v in values[ends].tolist()]
     else:
-        texts = [b"%d" % v for v in distinct.tolist()]
+        texts = [b"%d" % v for v in values[ends].tolist()]
     lengths = np.array([len(t) for t in texts])
     width = lengths.max()
     table = np.frombuffer(b"".join(t.ljust(width) for t in texts), np.uint8).reshape(-1, width)
-    return table.take(inverse, axis=0), lengths.take(inverse)
+    runs = np.diff(ends, prepend=-1)
+    return table.repeat(runs, axis=0), lengths.repeat(runs)
 
 
 def _csv_rows(columns) -> np.ndarray:
@@ -278,14 +254,24 @@ def _csv_rows(columns) -> np.ndarray:
     return chars[keep]
 
 
-def _write_csv(path: str, header: str, blocks, columns) -> None:
-    """Write the header, then the rows of ``columns(block)`` for each grid block."""
+def _write_csv(path: str, header: str, resolution: int, columns) -> None:
+    """Write the header, then the rows of ``columns(grid)`` over the grid
+    ``np.linspace(0.01, 0.99, resolution)``, ENCODE_ROWS points at a time.
+
+    Each point is computed as linspace computes it (0.01 + i * step, the last
+    one set to 0.99), so the blocks hold the same bits and the whole grid is
+    never allocated.  The resolution is checked before the file is opened.
+    """
+    if resolution < 2:
+        raise _UsageError(f"resolution must be >= 2, got {resolution}")
+    step = (0.99 - 0.01) / (resolution - 1)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        for grid in blocks:
-            cols = columns(grid)
-            for start in range(0, grid.size, ENCODE_ROWS):
-                fh.write(_csv_rows([col[start:start + ENCODE_ROWS] for col in cols]))
+        for start in range(0, resolution, ENCODE_ROWS):
+            grid = np.arange(start, min(start + ENCODE_ROWS, resolution)) * step + 0.01
+            if start + ENCODE_ROWS >= resolution:
+                grid[-1] = 0.99
+            fh.write(_csv_rows(columns(grid)))
 
 
 def cmd_solve(args) -> int:
@@ -346,12 +332,12 @@ def _fig2_columns(grid: np.ndarray):
 
 
 def cmd_fig1(args) -> int:
-    _write_csv(args.out, "cos_omega,cos_beta,feasible", _figure_blocks(args.resolution), _fig1_columns)
+    _write_csv(args.out, "cos_omega,cos_beta,feasible", args.resolution, _fig1_columns)
     return EXIT_OK
 
 
 def cmd_fig2(args) -> int:
-    _write_csv(args.out, "cos_omega,n_pbr,n_alt,n_alt_log_raw", _figure_blocks(args.resolution), _fig2_columns)
+    _write_csv(args.out, "cos_omega,n_pbr,n_alt,n_alt_log_raw", args.resolution, _fig2_columns)
     return EXIT_OK
 
 

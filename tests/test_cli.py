@@ -171,7 +171,7 @@ FIGURE_DIGESTS = [
     ("fig1", 20000, "467963d221f1d68438d1330f0ab0a11f1988e8397af5097e1b5cdb21be631055"),
     ("fig2", 200, "f3de7ec32a91f28c175254359c6715b898f9fe62c46a07098fbb3739d2bc8912"),
     ("fig2", 20000, "f5c215bfb5cad11e88a95004f144ef1a90e17dbae6e090c902fcdeac1a69e327"),
-    # a grid spacing of about 1e-6, over 489 blocks
+    # a grid spacing of about 1e-6, over 977 blocks
     ("fig2", 1000000, "2098509cba04649443b44a1b2f3cc967a77fdac24dfa4bbe480df9e12f806e7d"),
 ]
 
@@ -187,18 +187,18 @@ def test_figure_bytes_pinned(tmp_path, name, resolution, digest):
 def test_figure_rows_independent_of_block_size(tmp_path, monkeypatch, name):
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
     assert cli.main([name, "--resolution", "1001", "--out", str(whole)]) == 0
-    for csv_block, encode_rows in ((7, cli.ENCODE_ROWS), (cli.CSV_BLOCK, 5), (7, 3), (1001, 1001)):
-        monkeypatch.setattr(cli, "CSV_BLOCK", csv_block)
+    # one-row blocks, where each count and flag column is a table of one run
+    for encode_rows in (1, 3, 7, 1001):
         monkeypatch.setattr(cli, "ENCODE_ROWS", encode_rows)
         assert cli.main([name, "--resolution", "1001", "--out", str(blocked)]) == 0
         assert whole.read_bytes() == blocked.read_bytes()
 
 
 # With blocks of 7 rows, block ends fall on count steps.
-@pytest.mark.parametrize("csv_block", [cli.CSV_BLOCK, 7])
+@pytest.mark.parametrize("encode_rows", [cli.ENCODE_ROWS, 7])
 @pytest.mark.parametrize("resolution", [2, 3, 2049, 20000])
-def test_fig2_counts_equal_one_overlap_calls(tmp_path, monkeypatch, resolution, csv_block):
-    monkeypatch.setattr(cli, "CSV_BLOCK", csv_block)
+def test_fig2_counts_equal_one_overlap_calls(tmp_path, monkeypatch, resolution, encode_rows):
+    monkeypatch.setattr(cli, "ENCODE_ROWS", encode_rows)
     out = tmp_path / "fig2.csv"
     assert cli.main(["fig2", "--resolution", str(resolution), "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -292,18 +292,35 @@ def _csv_blocks(draw):
 @example([_texts("i", [7] * 5), _texts("i", [0, 3, 9, 1, 0])])
 @example([_texts("i", [-2**63] * 3), _texts("i", [2**63 - 1, -2**63, 0])])
 @example([_texts("i", [5]), _texts("f", [0.5]), _texts("b", [True]), _texts("i", [-1])])
+# Runs of one value apart, and a one-row block: a table merging equal values
+# across runs, or one dropping the last run, puts the wrong text in a row or
+# leaves a row out.  0.1's 17th digit is rounded up, so floor for rint fails.
+@example([_texts("i", [1, 2, 1]), _texts("b", [True, False, True])])
+@example([_texts("i", [3]), _texts("f", [0.1]), _texts("b", [False])])
 def test_csv_rows_match_percent_formatting(block):
     # Values outside the encoded ranges take Python's % inside the same block.
     expected = "".join(",".join(row) + "\n" for row in zip(*(texts for _, texts in block)))
     assert cli._csv_rows([values for values, _ in block]).tobytes().decode("ascii") == expected
 
 
-@pytest.mark.parametrize("resolution", [2, 3, 2047, 2049, 20123, 1000003])
-def test_figure_blocks_are_linspace(resolution):
-    blocks = list(cli._figure_blocks(resolution))
-    assert max(block.size for block in blocks) <= cli.CSV_BLOCK
-    grid = np.concatenate(blocks)
-    assert grid.tobytes() == np.linspace(0.01, 0.99, resolution).tobytes()
+# 1023, 1024 and 1025 sit around one block of ENCODE_ROWS rows.
+@pytest.mark.parametrize("resolution", [2, 3, 1023, 1024, 1025, 2047, 2049, 20123, 1000003])
+def test_figure_blocks_are_linspace(tmp_path, monkeypatch, resolution):
+    blocks, fig1_columns = [], cli._fig1_columns
+
+    def columns(grid):
+        blocks.append(grid.copy())
+        return fig1_columns(grid)
+
+    monkeypatch.setattr(cli, "_fig1_columns", columns)
+    out = tmp_path / "fig1.csv"
+    assert cli.main(["fig1", "--resolution", str(resolution), "--out", str(out)]) == 0
+    assert max(block.size for block in blocks) <= cli.ENCODE_ROWS
+    expected = np.linspace(0.01, 0.99, resolution).tobytes()
+    assert np.concatenate(blocks).tobytes() == expected
+    # %.17g round-trips a double, so the CSV's first column holds the same bits
+    lines = out.read_bytes().splitlines()[1:]
+    assert np.array([float(line.split(b",", 1)[0]) for line in lines]).tobytes() == expected
 
 
 def _limit_address_space():
@@ -330,8 +347,10 @@ def test_fig_huge_resolution_in_bounded_memory():
 
 
 def test_fig_resolution_too_small(tmp_path, capsys):
-    assert cli.main(["fig1", "--resolution", "1", "--out", str(tmp_path / "x.csv")]) == 1
-    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    assert cli.main(["fig1", "--resolution", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: resolution must be >= 2, got 1\n"
+    assert not out.exists()  # checked before the file is opened
 
 
 def test_fig_unwritable_path(capsys):

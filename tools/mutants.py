@@ -1,0 +1,131 @@
+"""Mutation check: each deliberately broken copy of ``src/`` must fail the tests named for it.
+
+    python tools/mutants.py
+
+Each mutant is a file under ``src/``, an exact old text that must occur there
+exactly once, its replacement, and the tests that must kill it.  For each
+mutant the script copies ``src/`` to a temporary directory, applies the
+mutant, and runs those tests against the copy.  A no-op mutant runs first and
+must survive: if it were killed, the tests would fail on the code as it is,
+and no other verdict would mean anything.
+
+Exits 0 when the no-op survives and every other mutant is killed; 1 when a
+mutant survives, the no-op is killed, an old text is not found exactly once,
+or pytest ends other than by passing or failing (a missing test, say).
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+NO_OP = Mutant(
+    "no-op", "pbrkit/cli.py", "ENCODE_ROWS = 1024\n", "ENCODE_ROWS = 1024\n",
+    ("tests/test_cli.py::test_figure_rows_independent_of_block_size",),
+)
+
+MUTANTS = [
+    Mutant(
+        "_settle without the downward gallop", "pbrkit/reduction.py",
+        "        lo, hi = floor - 1, seed  # lo fails or is under the floor; hi holds\n",
+        "        return seed\n",
+        ("tests/test_properties.py::test_counts_minimal_by_direct_substitution",),
+    ),
+    Mutant(
+        "matrix rows wrapped at 140 columns, not 139", "pbrkit/cli.py",
+        "        if len(line) + len(word) > width - 1:\n",
+        "        if len(line) + len(word) > width:\n",
+        ("tests/test_cli.py::test_format_matrix_is_array2string",),
+    ),
+    Mutant(
+        "table field one column short", "pbrkit/cli.py",
+        "    return table.repeat(runs, axis=0), lengths.repeat(runs)\n",
+        "    return table[:, :-1].repeat(runs, axis=0), lengths.repeat(runs)\n",
+        ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
+    ),
+    Mutant(
+        "float field one column short", "pbrkit/cli.py",
+        "    layouts = _LAYOUTS[:, :lengths.max()]\n",
+        "    layouts = _LAYOUTS[:, :lengths.max() - 1]\n",
+        ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
+    ),
+    Mutant(
+        "_breakpoint_counts never writes a span's right end", "pbrkit/cli.py",
+        "            out[lo:hi + 1] = n_lo\n        elif hi - lo == 1:\n            out[lo], out[hi] = n_lo, n_hi\n",
+        "            out[lo:hi] = n_lo\n        elif hi - lo == 1:\n            out[lo] = n_lo\n",
+        ("tests/test_cli.py::test_fig2_counts_equal_one_overlap_calls",),
+    ),
+    Mutant(
+        "floor for rint in _significand", "pbrkit/cli.py",
+        "np.rint(e)", "np.floor(e)",
+        ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
+    ),
+    Mutant(
+        "tan(omega/2) without its square root", "pbrkit/states.py",
+        "        return math.sqrt((1.0 - self.cos) / (1.0 + self.cos))\n",
+        "        return (1.0 - self.cos) / (1.0 + self.cos)\n",
+        ("tests/test_properties.py::test_half_angles_within_one_ulp",),
+    ),
+    Mutant(
+        "_table_field drops its last run", "pbrkit/cli.py",
+        "np.append(np.flatnonzero(values[1:] != values[:-1]), len(values) - 1)",
+        "np.flatnonzero(values[1:] != values[:-1])",
+        ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
+    ),
+    Mutant(
+        "the grid's last point not set to 0.99", "pbrkit/cli.py",
+        "                grid[-1] = 0.99\n", "                pass\n",
+        ("tests/test_cli.py::test_figure_blocks_are_linspace",),
+    ),
+]
+
+
+def verdict(mutant: Mutant) -> str:
+    """'killed', 'survived', or what kept the mutant from being judged."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return f"old text found {text.count(mutant.old)} times in {mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        # Run from the temporary directory, so pytest's and hypothesis's caches
+        # of a broken copy stay out of the repository.
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *(str(ROOT / test) for test in mutant.tests)],
+            cwd=tmp, env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True, text=True,
+        )
+    if result.returncode in (0, 1):
+        return "survived" if result.returncode == 0 else "killed"
+    return f"pytest exited {result.returncode}:\n{result.stdout[-2000:]}{result.stderr[-2000:]}"
+
+
+def main() -> int:
+    failed = 0
+    for mutant, wanted in [(NO_OP, "survived")] + [(m, "killed") for m in MUTANTS]:
+        got = verdict(mutant)
+        failed += got != wanted
+        print(f"{'ok' if got == wanted else 'FAIL'}: {mutant.name}: {got}", flush=True)
+    print(f"{failed} of {1 + len(MUTANTS)} verdicts wrong")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
