@@ -25,7 +25,7 @@ from .errors import DegeneratePair, ToolkitError
 from .experiment import MAX_TRIALS, contradiction_report, render_report, sample_outcomes
 from .linalg import TOL_NORM
 from .measurement import build_C, build_M, cos_beta_raw, outcome_matrix, solve_measurement, within_boundary
-from .reduction import alt_log_bound_raw, grouping_plan, min_n_pbr
+from .reduction import alt_log_bound_raw, device_counts, grouping_plan
 from .states import OverlapAngle, reduce_pair
 
 EXIT_OK = 0
@@ -277,7 +277,7 @@ def _write_csv(path: str, header: str, resolution: int, columns) -> None:
 def cmd_solve(args) -> int:
     angle = OverlapAngle(cos=args.cos_omega)
     sol = solve_measurement(angle)
-    print(f"cos_omega = {_g17(args.cos_omega)}")
+    print(f"cos_omega = {_g17(angle.cos)}")
     print(f"cos_beta_raw = {_g17(sol.cos_beta_raw)}")
     if not sol.feasible:
         print("INFEASIBLE: no real beta nulls the diagonal at this overlap; group devices first")
@@ -296,39 +296,8 @@ def _fig1_columns(grid: np.ndarray):
     return grid, cos_beta_raw(grid), within_boundary(grid)
 
 
-def _breakpoint_counts(grid: np.ndarray, count) -> np.ndarray:
-    """``count(c)`` at every c of ``grid``, called only at a span's ends and where they differ.
-
-    The counts never decrease along the grid: each count condition is
-    monotone in its argument, tan(omega/2) is formed from c by correctly
-    rounded steps that keep that order, and grid points lie at least
-    0.98 / (R - 1) apart, millions of ulps more than libm's sub-ulp error in
-    pow.  So a span whose ends have the same count holds it throughout, and
-    only a span whose ends differ is split at its midpoint: a block costs a
-    few calls per count step, not one per row.  The spans wait in a list, not
-    in a recursive closure, which would keep each block alive in a
-    reference cycle until the cyclic collector runs.
-    """
-    last = grid.size - 1
-    out = np.empty(grid.size, np.int64)
-    spans = [(0, count(float(grid[0])), last, count(float(grid[last])))]
-    while spans:
-        lo, n_lo, hi, n_hi = spans.pop()
-        if n_lo == n_hi:
-            out[lo:hi + 1] = n_lo
-        elif hi - lo == 1:
-            out[lo], out[hi] = n_lo, n_hi
-        else:
-            mid = (lo + hi) // 2
-            n_mid = count(float(grid[mid]))
-            spans += [(lo, n_lo, mid, n_mid), (mid, n_mid, hi, n_hi)]
-    return out
-
-
 def _fig2_columns(grid: np.ndarray):
-    n_pbr = _breakpoint_counts(grid, lambda c: min_n_pbr(OverlapAngle(cos=c)))
-    n_alt = _breakpoint_counts(grid, lambda c: grouping_plan(OverlapAngle(cos=c)).n)
-    return grid, n_pbr, n_alt, alt_log_bound_raw(grid)
+    return grid, *device_counts(grid), alt_log_bound_raw(grid)
 
 
 def cmd_fig1(args) -> int:
@@ -411,13 +380,14 @@ def cmd_simulate(args) -> int:
         raise _UsageError(f"trials must be <= 2**63 - 1, got {args.trials}")
     if args.seed < 0:
         raise _UsageError(f"seed must be >= 0, got {args.seed}")
-    plan = grouping_plan(OverlapAngle(cos=args.cos_omega))
+    omega = OverlapAngle(cos=args.cos_omega)
+    plan = grouping_plan(omega)
     effective = plan.effective_omega
     sol = solve_measurement(effective)
     if plan.n > 2:
         print(f"reduced: n={plan.n}, effective cos = {_g17(effective.cos)}")
     probs = outcome_matrix(effective, sol.alpha, sol.beta)
-    print(f"cos_omega = {_g17(args.cos_omega)}, beta = {_g17(sol.beta)}, alpha = {_g17(sol.alpha)}")
+    print(f"cos_omega = {_g17(omega.cos)}, beta = {_g17(sol.beta)}, alpha = {_g17(sol.alpha)}")
     print(f"trials = {args.trials} per preparation, base seed = {args.seed}")
     fired = 0
     for j in (1, 2, 3, 4):

@@ -84,8 +84,8 @@ def build_M(alpha: float, beta: float) -> np.ndarray:
 def within_boundary(cos_omega):
     """The feasibility test cos(omega) <= sqrt(2)/2, inclusive within BOUNDARY_TOL.
 
-    Takes a float or an array of cosines; grouping applies it to the
-    effective overlap cos^m(omega).
+    Takes a float or an array of cosines.  The device counts use it as their
+    boundary, so every overlap the solve accepts needs only n = 2.
     """
     return cos_omega <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL
 

@@ -7,21 +7,28 @@ the sqrt(2)/2 feasibility boundary, at which point the two-qubit forbidden
 outcome construction applies verbatim to the group states.  This module
 computes that minimal even n and, for comparison, the minimal n demanded by
 the original multipartite-basis route (tan(w/2) >= 2^{1/n} - 1).
+
+Both counts are ceilings of closed forms, exact for the double c = cos(omega):
+
+    m = n/2 = ceil(ln 2 / (-2 ln c)),    n_pbr = ceil(ln 2 / ln(1 + tan(omega/2))).
+
+Within the boundary, by the inclusive ``within_boundary`` that the solve
+uses, m = 1 and n_pbr = 2.  Past it, where c - 1 is exact, a quotient in
+floats lies a few ulps from the real one; where it comes within 1e-13 x of
+an integer, its ceiling is taken again in ``decimal`` at 50 digits from the
+exact Decimal(c).
 """
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from .errors import GridOutOfRange
-from .measurement import BOUNDARY_TOL, FEASIBILITY_BOUNDARY, within_boundary
+from .measurement import within_boundary
 from .states import OverlapAngle
 
-# The counts are seeded from logarithmic bounds with the boundary tolerance
-# folded in, so the settle moves a seed by one step at most in practice,
-# even for overlaps a few doubles below 1.
-_LOG_GROUP_BOUND = math.log(FEASIBILITY_BOUNDARY + BOUNDARY_TOL)
 _LOG_2 = math.log(2.0)
 
 
@@ -34,65 +41,59 @@ class GroupingPlan:
     effective_omega: OverlapAngle
 
 
-def _settle(holds, seed: int, floor: int) -> int:
-    """Smallest count with ``holds(count)``, settled from a seed by direct substitution.
+def _near_integer(x):
+    """Whether a float quotient x, or each of an array's, is within 1e-13 x of an integer."""
+    return abs((x + 0.5) % 1.0 - 0.5) <= 1e-13 * x
 
-    A seed where the condition fails gallops up (strides 1, 2, 4, ...) until
-    it holds; a seed where it still holds one lower gallops down the same way,
-    no lower than ``floor``.  Bisection then narrows the bracket until the
-    count holds and the count below it fails (or is under ``floor``), so
-    roundoff in the seed cannot shift the answer, and a flat stretch of the
-    computed condition costs a logarithmic number of tests, not one per
-    count.  A seed that holds above a count that fails costs two tests.
-    """
-    stride = 1
-    if holds(seed):
-        lo, hi = floor - 1, seed  # lo fails or is under the floor; hi holds
-        while hi > floor:
-            probe = max(hi - stride, floor)
-            if not holds(probe):
-                lo = probe
-                break
-            hi, stride = probe, 2 * stride
-    else:
-        lo = seed
-        while not holds(lo + stride):
-            lo, stride = lo + stride, 2 * stride
-        hi = lo + stride
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+
+def _ceiling(x: float, c: float, pbr: bool) -> int:
+    """ceil(x) of a count's float quotient x at cosine c; near an integer,
+    the count from ``decimal`` at 50 digits (n_pbr if ``pbr``, else m)."""
+    if not _near_integer(x):
+        return math.ceil(x)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(c)
+        log = (1 + ((1 - d) / (1 + d)).sqrt()).ln() if pbr else -2 * d.ln()
+        return math.ceil(Decimal(2).ln() / log)
 
 
 def grouping_plan(omega: OverlapAngle) -> GroupingPlan:
     """Smallest even device count n = 2m with cos^m(omega) <= sqrt(2)/2.
 
-    Within the boundary m is 1; past it m is seeded from the logarithmic
-    bound and then settled by direct powering.  Boundary ties resolve
-    inclusively within 1e-12.
+    m is 1 within the boundary and ceil(ln 2 / (-2 ln cos(omega))) past it.
     """
     c = omega.cos
-    m = 1
-    if not within_boundary(c):
-        seed = math.ceil(_LOG_GROUP_BOUND / math.log(c) - 1e-9)
-        m = _settle(lambda k: within_boundary(math.pow(c, k)), seed, floor=1)
+    m = 1 if within_boundary(c) else _ceiling(_LOG_2 / (-2.0 * math.log1p(c - 1.0)), c, pbr=False)
     return GroupingPlan(n=2 * m, group_size=m, effective_omega=OverlapAngle(cos=c**m))
 
 
 def min_n_pbr(omega: OverlapAngle) -> int:
     """Smallest n >= 2 with tan(omega/2) >= 2^{1/n} - 1.
 
-    Seeded from n >= ln 2 / ln(1 + tan(omega/2) + 1e-12), then settled by
-    direct substitution so that boundary roundoff cannot shift the answer;
-    floors at 2 because the setup needs at least two devices.
+    n is 2 within the boundary and ceil(ln 2 / ln(1 + tan(omega/2))) past it.
     """
-    t = omega.tan_half
-    seed = max(2, math.ceil(_LOG_2 / math.log1p(t + BOUNDARY_TOL) - 1e-9))
-    return _settle(lambda n: t >= math.pow(2.0, 1.0 / n) - 1.0 - BOUNDARY_TOL, seed, floor=2)
+    c = omega.cos
+    return 2 if within_boundary(c) else _ceiling(_LOG_2 / math.log1p(omega.tan_half), c, pbr=True)
+
+
+def device_counts(cos_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``min_n_pbr`` and ``grouping_plan(...).n`` at each cosine of an array.
+
+    The closed forms are array expressions here; a row where either
+    quotient is too near an integer takes both counts from the one-overlap
+    functions, so each element equals the one-overlap count.
+    """
+    c = np.asarray(cos_omega, dtype=float)
+    outside = ~within_boundary(c)
+    x_pbr = _LOG_2 / np.log1p(np.sqrt((1.0 - c) / (1.0 + c)))
+    x_group = _LOG_2 / (-2.0 * np.log1p(c - 1.0))
+    n_pbr = np.where(outside, np.ceil(x_pbr), 2).astype(np.int64)
+    n = np.where(outside, 2 * np.ceil(x_group), 2).astype(np.int64)
+    for i in np.flatnonzero(outside & (_near_integer(x_pbr) | _near_integer(x_group))).tolist():
+        omega = OverlapAngle(cos=float(c[i]))
+        n_pbr[i], n[i] = min_n_pbr(omega), grouping_plan(omega).n
+    return n_pbr, n
 
 
 def alt_log_bound_raw(cos_omega):

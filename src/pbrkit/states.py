@@ -39,6 +39,7 @@ class OverlapAngle:
     def __post_init__(self):
         if not (0.0 <= self.cos < 1.0):
             raise AngleOutOfRange(f"cos(omega) must lie in [0, 1), got {self.cos!r}")
+        object.__setattr__(self, "cos", self.cos + 0.0)  # -0.0 passes the check; make it +0.0
 
     @property
     def omega(self) -> float:

@@ -547,6 +547,17 @@ def test_solve_bytes_pinned(capsys, cos_omega, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# -0.0 passes the range check, but an overlap modulus is never negative: each
+# command prints the bytes it prints at 0.
+ZERO_DIGESTS = {"solve": dict(SOLVE_DIGESTS)["0"], **{run: d for run, c, d in RUN_DIGESTS if c == "0"}}
+
+
+@pytest.mark.parametrize("run", ZERO_DIGESTS)
+def test_negative_zero_prints_the_bytes_of_zero(capsys, run):
+    assert cli.main([*PINNED_RUNS.get(run, ["solve"]), "--cos-omega", "-0.0"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ZERO_DIGESTS[run]
+
+
 @pytest.mark.parametrize("dim,psi,phi,digest", REDUCE_PAIRS, ids=["dim3", "dim40"])
 def test_reduce_bytes_pinned(tmp_path, capsys, dim, psi, phi, digest):
     assert cli.main(["reduce", "--in", _write_pair(tmp_path / "pair.json", dim, psi, phi)]) == 0
@@ -679,6 +690,15 @@ def test_report_json(capsys):
     assert record["n"] == 2
     assert record["compat_bound"] == pytest.approx(0.01)
     assert record["contradiction"] is True
+
+
+def test_report_near_unit_overlap_counts_exactly(capsys):
+    # at 1 - c = 1e-13 the exact group size leaves the effective overlap under
+    # sqrt(2)/2, so the forbidden probabilities are roundoff of the solve alone
+    assert cli.main(["report", "--cos-omega", "0.9999999999999", "--epsilon", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "devices: n = 6929317167776, two groups of 3464658583888;" in out
+    assert float(out.split("max forbidden-outcome probability: ")[1].split()[0]) < 1e-30
 
 
 def test_report_bad_epsilon(capsys):

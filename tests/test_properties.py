@@ -3,9 +3,10 @@
 These carry the correctness checks the library does not repeat at run time:
 the closed half-angle forms, the zero diagonal of M C, the closed form of
 that diagonal, unitarity of M, stochastic outcome columns, agreement of the
-two cos(beta) forms, the tensor-square form of C, the device-count bounds,
-minimality of the device counts, the tensor-power overlap law and the
-reduce_pair round trip.
+two cos(beta) forms, the tensor-square form of C, the device counts against
+mpmath's ceilings of their closed forms, minimality of the device counts by
+direct substitution, the tensor-power overlap law and the reduce_pair round
+trip.
 Every test is derandomized, so a run always draws the same examples.
 """
 
@@ -13,10 +14,19 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import ambient, cos_beta_tan_form, make_pair, product_state
+from _reference import (
+    ambient,
+    cos_beta_tan_form,
+    exact_counts,
+    group_size_minimal,
+    make_pair,
+    near_integer_cos,
+    pbr_count_minimal,
+    product_state,
+)
 from pbrkit import (
     BOUNDARY_TOL,
     FEASIBILITY_BOUNDARY,
@@ -30,8 +40,8 @@ from pbrkit import (
     outcome_matrix,
     reduce_pair,
     solve_measurement,
+    within_boundary,
 )
-from pbrkit.reduction import _settle
 
 seeded = settings(derandomize=True, deadline=None)
 
@@ -50,14 +60,20 @@ def _ulps_around(x: float, k: int) -> list[float]:
 
 
 # where counts change or the figure grid ends: sqrt(2)/2 and the inclusive
-# boundary sqrt(2)/2 + 1e-12 to a few ulps, 1 - 10^-k, and the grid's end rows
+# boundary sqrt(2)/2 + 1e-12 to a few ulps, 1 - 10^-k, the cosines where a
+# count's quotient lies within rounding of an integer, and the grid's end rows
 edge_cos = st.sampled_from(
     _ulps_around(FEASIBILITY_BOUNDARY, 4)
     + _ulps_around(FEASIBILITY_BOUNDARY + BOUNDARY_TOL, 4)
     + [1.0 - 10.0**-k for k in range(6, 16)]
     + [math.nextafter(1.0, 0.0)]
+    + near_integer_cos()
     + np.linspace(0.01, 0.99, 20000)[[0, 1, -2, -1]].tolist()
 )
+
+# 1 - c log-uniform in [2^-52, 1e-6], where m runs from 3.5e5 to 1.6e15
+near_one_cos = st.floats(math.log(2.0**-52), math.log(1e-6)).map(lambda u: 1.0 - math.exp(u))
+fig_grid_cos = st.sampled_from(np.linspace(0.01, 0.99, 200).tolist() + np.linspace(0.01, 0.99, 20000).tolist())
 
 # every cosine the solve accepts: [0, sqrt(2)/2], the band up to 1e-12 above
 # it where cos(beta) is clamped, and the effective overlap of grouping_plan
@@ -66,10 +82,6 @@ solvable_cos = st.one_of(
     st.floats(FEASIBILITY_BOUNDARY, FEASIBILITY_BOUNDARY + BOUNDARY_TOL, exclude_min=True),
     st.one_of(edge_cos, any_cos).map(lambda c: grouping_plan(OverlapAngle(cos=c)).effective_omega.cos),
 )
-
-# tan(omega/2) below what an overlap reaches (2^-27 = 7.45e-9), where the
-# computed 2^(1/n) - 1 stays flat over long runs of consecutive counts
-tiny_tan = st.one_of(st.sampled_from([10.0**-k for k in range(9, 301)]), st.floats(1e-300, 1e-9))
 
 
 def _within_one_ulp(got: float, exact: Decimal) -> bool:
@@ -149,35 +161,31 @@ def test_device_counts_even_minimal_and_ordered(c):
     plan = grouping_plan(omega)
     m = plan.group_size
     assert plan.n == 2 * m
-    assert c**m <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL
-    assert m == 1 or c ** (m - 1) > FEASIBILITY_BOUNDARY + BOUNDARY_TOL
+    assert (m == 1) if within_boundary(c) else group_size_minimal(c, m)
+    # the solve accepts the effective overlap
+    assert within_boundary(plan.effective_omega.cos)
     assert plan.n >= min_n_pbr(omega) >= 2
 
 
-def _minimal_by_substitution(holds, count: int, floor: int) -> bool:
-    """``count`` holds and no smaller count down to ``floor`` does (scanned up to 1000 below)."""
-    return holds(count) and not any(holds(k) for k in range(max(floor, count - 1000), count))
-
-
 @seeded
-@given(
-    st.lists(st.one_of(edge_cos, any_cos), min_size=1, max_size=30),
-    st.lists(tiny_tan, max_size=5),
-)
-def test_counts_minimal_by_direct_substitution(cosines, tiny_halves):
+@given(st.lists(st.one_of(edge_cos, any_cos), min_size=1, max_size=30))
+def test_counts_minimal_by_direct_substitution(cosines):
     for c in cosines:
         omega = OverlapAngle(cos=c)
-        m = grouping_plan(omega).group_size
-        assert _minimal_by_substitution(lambda k: c**k <= FEASIBILITY_BOUNDARY + BOUNDARY_TOL, m, 1)
-        t, n = omega.tan_half, min_n_pbr(omega)
-        assert _minimal_by_substitution(lambda k: t >= 2.0 ** (1.0 / k) - 1.0 - BOUNDARY_TOL, n, 2)
-    # no overlap reaches these; min_n_pbr's condition and seed drive the settle directly
-    for t in tiny_halves:
-        def holds(k, t=t):
-            return t >= 2.0 ** (1.0 / k) - 1.0 - BOUNDARY_TOL
+        m, n = grouping_plan(omega).group_size, min_n_pbr(omega)
+        if within_boundary(c):
+            assert (m, n) == (1, 2)
+        else:
+            assert group_size_minimal(c, m) and pbr_count_minimal(c, n)
 
-        seed = max(2, math.ceil(math.log(2.0) / math.log1p(t + BOUNDARY_TOL) - 1e-9))
-        assert _minimal_by_substitution(holds, _settle(holds, seed, floor=2), 2)
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(st.one_of(near_one_cos, edge_cos, fig_grid_cos))
+@example(FEASIBILITY_BOUNDARY)  # above the real sqrt(2)/2, yet n = n_pbr = 2
+def test_device_counts_are_mpmath_ceilings(c):
+    omega = OverlapAngle(cos=c)
+    counts = grouping_plan(omega).group_size, min_n_pbr(omega)
+    assert counts == ((1, 2) if within_boundary(c) else exact_counts(c))
 
 
 @seeded

@@ -6,9 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from _reference import make_pair, product_state
+from _reference import group_size_minimal, make_pair, near_integer_cos, pbr_count_minimal, product_state
 from pbrkit import (
-    BOUNDARY_TOL,
     FEASIBILITY_BOUNDARY,
     AngleOutOfRange,
     GridOutOfRange,
@@ -18,8 +17,9 @@ from pbrkit import (
     min_n_pbr,
     reduce_pair,
     solve_measurement,
+    within_boundary,
 )
-from pbrkit.reduction import _settle
+from pbrkit.reduction import _LOG_2, _near_integer, device_counts
 
 ROOT2 = math.sqrt(2.0)
 
@@ -60,34 +60,18 @@ def test_min_n_pbr_boundary_exact():
 
 
 def test_min_n_pbr_minimality():
-    for c in np.linspace(0.01, 0.995, 150):
-        n = min_n_pbr(OverlapAngle(cos=float(c)))
-        t = OverlapAngle(cos=float(c)).tan_half
-        assert t >= 2.0 ** (1.0 / n) - 1.0 - 1e-12
-        if n > 2:
-            assert t < 2.0 ** (1.0 / (n - 1)) - 1.0
+    for c in np.linspace(0.01, 0.995, 150).tolist():
+        n = min_n_pbr(OverlapAngle(cos=c))
+        assert (n == 2) if within_boundary(c) else pbr_count_minimal(c, n)
 
 
 def test_min_n_pbr_tiny_angle_returns_quickly():
     # the least tan(omega/2) an overlap holds: 2^-27, at cos(omega) = 1 - 2^-53
+    c = math.nextafter(1.0, 0.0)
     start = time.perf_counter()
-    n = min_n_pbr(OverlapAngle(cos=math.nextafter(1.0, 0.0)))
+    n = min_n_pbr(OverlapAngle(cos=c))
     assert time.perf_counter() - start < 1.0
-    t = 2.0**-27
-    assert t >= 2.0 ** (1.0 / n) - 1.0 - 1e-12
-    assert t < 2.0 ** (1.0 / (n - 1)) - 1.0 - 1e-12
-    # below it, at tan(omega/2) = tan(5e-301), 2^(1/n) - 1 is flat over ~10^8
-    # consecutive counts, too many to walk one by one, from either side
-    t = math.tan(5e-301)
-
-    def holds(k):
-        return t >= 2.0 ** (1.0 / k) - 1.0 - BOUNDARY_TOL
-
-    for seed in (2, 2**60):
-        start = time.perf_counter()
-        n = _settle(holds, seed, floor=2)
-        assert time.perf_counter() - start < 1.0
-        assert holds(n) and not holds(n - 1)
+    assert pbr_count_minimal(c, n)
 
 
 def test_effective_pair_two_devices_is_identity():
@@ -162,6 +146,19 @@ def test_array_counts_match_one_overlap_calls():
     assert alt_log_bound_raw(c).tolist() == [alt_log_bound_raw(float(x)) for x in c]
 
 
+def test_device_counts_equal_one_overlap_counts_where_guarded():
+    # at each of these cosines a count's float quotient is too near an
+    # integer to trust its ceiling, so the row goes through the decimal count
+    cosines = near_integer_cos()
+    for c in cosines:
+        x_group = _LOG_2 / (-2.0 * math.log1p(c - 1.0))
+        x_pbr = _LOG_2 / math.log1p(OverlapAngle(cos=c).tan_half)
+        assert _near_integer(x_group) or _near_integer(x_pbr)
+    n_pbr, n = device_counts(np.array(cosines))
+    assert n_pbr.tolist() == [min_n_pbr(OverlapAngle(cos=c)) for c in cosines]
+    assert n.tolist() == [grouping_plan(OverlapAngle(cos=c)).n for c in cosines]
+
+
 def test_alt_log_bound_raw_is_libm_log_per_element():
     # the figure CSV prints all 17 digits, and np.log can differ from libm's
     # log in the last bit; the array keeps the grid's shape
@@ -172,13 +169,12 @@ def test_alt_log_bound_raw_is_libm_log_per_element():
 
 
 def test_grouping_plan_rejects_angle_with_unit_cosine():
-    # no group size exists at cos(omega) = 1, where the settle would never
-    # end; the overlap refuses it, and one ulp below 1 a group size exists
+    # no group size exists at cos(omega) = 1, where ln cos(omega) = 0; the
+    # overlap refuses it, and one ulp below 1 the group size is exact
     with pytest.raises(AngleOutOfRange, match=r"cos\(omega\) must lie in \[0, 1\), got 1.0"):
         grouping_plan(OverlapAngle(cos=1.0))
     c = math.nextafter(1.0, 0.0)
-    m = grouping_plan(OverlapAngle(cos=c)).group_size
-    assert c**m <= FEASIBILITY_BOUNDARY + 1e-12 < c ** (m - 1)
+    assert group_size_minimal(c, grouping_plan(OverlapAngle(cos=c)).group_size)
 
 
 def test_min_n_pbr_rejects_angle_with_zero_half():

@@ -40,10 +40,22 @@ NO_OP = Mutant(
 
 MUTANTS = [
     Mutant(
-        "_settle without the downward gallop", "pbrkit/reduction.py",
-        "        lo, hi = floor - 1, seed  # lo fails or is under the floor; hi holds\n",
-        "        return seed\n",
-        ("tests/test_properties.py::test_counts_minimal_by_direct_substitution",),
+        "BOUNDARY_TOL (1e-12) back in the group size's closed form", "pbrkit/reduction.py",
+        "_ceiling(_LOG_2 / (-2.0 * math.log1p(c - 1.0)), c, pbr=False)",
+        "_ceiling(math.log(math.sqrt(0.5) + 1e-12) / math.log1p(c - 1.0), c, pbr=False)",
+        ("tests/test_properties.py::test_device_counts_are_mpmath_ceilings",),
+    ),
+    Mutant(
+        "the near-integer guard never fires", "pbrkit/reduction.py",
+        "    return abs((x + 0.5) % 1.0 - 0.5) <= 1e-13 * x\n",
+        "    return False\n",
+        ("tests/test_properties.py::test_device_counts_are_mpmath_ceilings",),
+    ),
+    Mutant(
+        "device_counts keeps the float ceiling at guarded rows", "pbrkit/reduction.py",
+        "    for i in np.flatnonzero(outside & (_near_integer(x_pbr) | _near_integer(x_group))).tolist():\n",
+        "    for i in []:\n",
+        ("tests/test_reduction.py::test_device_counts_equal_one_overlap_counts_where_guarded",),
     ),
     Mutant(
         "matrix rows wrapped at 140 columns, not 139", "pbrkit/cli.py",
@@ -62,12 +74,6 @@ MUTANTS = [
         "    layouts = _LAYOUTS[:, :lengths.max()]\n",
         "    layouts = _LAYOUTS[:, :lengths.max() - 1]\n",
         ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
-    ),
-    Mutant(
-        "_breakpoint_counts never writes a span's right end", "pbrkit/cli.py",
-        "            out[lo:hi + 1] = n_lo\n        elif hi - lo == 1:\n            out[lo], out[hi] = n_lo, n_hi\n",
-        "            out[lo:hi] = n_lo\n        elif hi - lo == 1:\n            out[lo] = n_lo\n",
-        ("tests/test_cli.py::test_fig2_counts_equal_one_overlap_calls",),
     ),
     Mutant(
         "floor for rint in _significand", "pbrkit/cli.py",
