@@ -19,7 +19,6 @@ from .errors import (
 from .experiment import (
     MAX_TRIALS,
     PROB_FLOOR,
-    ZERO_DIAGONAL_TOL,
     contradiction_report,
     render_report,
     sample_outcomes,
@@ -65,7 +64,6 @@ __all__ = [
     "SymmetricPair",
     "ToolkitError",
     "TOL_NORM",
-    "ZERO_DIAGONAL_TOL",
     "alt_log_bound_raw",
     "build_C",
     "build_M",

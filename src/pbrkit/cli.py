@@ -43,18 +43,9 @@ class _UsageError(Exception):
     """Flag or input problem; mapped to exit code 1 instead of argparse's 2."""
 
 
-class _Exit(Exception):
-    """argparse ended the call itself (``--help``); ``main`` returns the status."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-    def exit(self, status=0, message=None):
-        if message:
-            self._print_message(message, sys.stderr)
-        raise _Exit(status)
 
 
 def _g17(x) -> str:
@@ -462,11 +453,12 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:  # argparse's exit after --help
+            return exc.code
         # Looked up by name at each call, so a rebound cmd_* is the one that runs.
         return globals()["cmd_" + args.command](args)
-    except _Exit as exc:
-        return exc.args[0]
     except BrokenPipeError:
         # the reader of the output went away; there is nobody left to tell
         return EXIT_USAGE

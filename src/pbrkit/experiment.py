@@ -17,15 +17,12 @@ from .measurement import outcome_matrix, solve_measurement
 from .reduction import grouping_plan
 from .states import OverlapAngle
 
-# Column entries below this are treated as exact zeros and never sampled,
-# so "forbidden" means never, not merely probability ~1e-10.
+# A probability below this is an exact zero: never drawn by the sampler, and
+# forbidden in the report.  Solved overlaps forbid at most ~1e-24.
 PROB_FLOOR = 1e-12
 
 # numpy's multinomial counts are 64-bit signed integers.
 MAX_TRIALS = 2**63 - 1
-
-# A diagonal entry at or below this counts as a forbidden outcome.
-ZERO_DIAGONAL_TOL = 1e-10
 
 
 def sample_outcomes(p: np.ndarray, preparation: int, trials: int, seed: int) -> tuple[int, int, int, int]:
@@ -59,7 +56,7 @@ def contradiction_report(omega: OverlapAngle, epsilon: float) -> dict:
     four forbidden outcomes of zero probability.  The result is the
     JSON-serializable record that ``report --json`` prints.
     """
-    epsilon = float(epsilon)
+    epsilon = float(epsilon) + 0.0  # -0.0 prints as 0
     if not (0.0 <= epsilon <= 1.0):
         raise BadEpsilon(f"epsilon must lie in [0, 1], got {epsilon!r}")
     plan = grouping_plan(omega)
@@ -78,7 +75,7 @@ def contradiction_report(omega: OverlapAngle, epsilon: float) -> dict:
         "compat_bound": epsilon**plan.n,
         "max_diagonal": max_diagonal,
         "forbidden_probabilities": diagonal,
-        "contradiction": epsilon > 0.0 and max_diagonal <= ZERO_DIAGONAL_TOL,
+        "contradiction": epsilon > 0.0 and max_diagonal < PROB_FLOOR,
     }
 
 

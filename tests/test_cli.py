@@ -558,6 +558,15 @@ def test_negative_zero_prints_the_bytes_of_zero(capsys, run):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ZERO_DIGESTS[run]
 
 
+def test_negative_zero_epsilon_prints_the_bytes_of_zero(capsys):
+    for flags in ([], ["--json"]):
+        outputs = []
+        for epsilon in ("0", "-0.0"):
+            assert cli.main(["report", "--cos-omega", "0.9", "--epsilon", epsilon, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("dim,psi,phi,digest", REDUCE_PAIRS, ids=["dim3", "dim40"])
 def test_reduce_bytes_pinned(tmp_path, capsys, dim, psi, phi, digest):
     assert cli.main(["reduce", "--in", _write_pair(tmp_path / "pair.json", dim, psi, phi)]) == 0
@@ -771,16 +780,29 @@ def test_main_dispatches_to_rebound_command(monkeypatch, capsys):
     assert len(seen) == 1 and seen[0].as_json and seen[0].epsilon == 0.2
 
 
+# The first line of each command's --help at 80 columns.
+HELP_USAGE = {
+    (): "usage: pbrkit [-h] command ...\n",
+    ("solve",): "usage: pbrkit solve [-h] --cos-omega COS_OMEGA\n",
+    ("fig1",): "usage: pbrkit fig1 [-h] [--resolution RESOLUTION] --out OUT\n",
+    ("fig2",): "usage: pbrkit fig2 [-h] [--resolution RESOLUTION] --out OUT\n",
+    ("reduce",): "usage: pbrkit reduce [-h] --in IN_PATH\n",
+    ("simulate",): "usage: pbrkit simulate [-h] --cos-omega COS_OMEGA [--trials TRIALS]\n",
+    ("report",): "usage: pbrkit report [-h] --cos-omega COS_OMEGA --epsilon EPSILON [--json]\n",
+}
+
+
 def test_help_returns_zero(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
     assert cli.main(["--help"]) == 0
     assert capsys.readouterr().out == cli.build_parser().format_help()
-    assert cli.main(["solve", "--help"]) == 0
-    in_process = capsys.readouterr()
-    assert in_process.out.startswith("usage: pbrkit solve [-h] --cos-omega COS_OMEGA\n")
-    result = subprocess.run([sys.executable, "-m", "pbrkit.cli", "solve", "--help"],
-                            capture_output=True, text=True, env=_subprocess_env(COLUMNS="80"), timeout=60)
-    assert (result.returncode, result.stdout, result.stderr) == (0, in_process.out, in_process.err)
+    for command, usage in HELP_USAGE.items():
+        assert cli.main([*command, "--help"]) == 0
+        in_process = capsys.readouterr()
+        assert in_process.out.startswith(usage)
+        result = subprocess.run([sys.executable, "-m", "pbrkit.cli", *command, "--help"],
+                                capture_output=True, text=True, env=_subprocess_env(COLUMNS="80"), timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, in_process.out, in_process.err)
 
 
 def test_import_builds_no_parser():

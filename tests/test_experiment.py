@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from pbrkit import experiment
 from pbrkit import (
     MAX_TRIALS,
+    PROB_FLOOR,
     BadEpsilon,
     BadPreparation,
     OverlapAngle,
@@ -95,7 +97,7 @@ def test_report_feasible_overlap():
     report = contradiction_report(OverlapAngle(cos=0.5), 0.1)
     assert report["n"] == 2
     assert report["compat_bound"] == pytest.approx(0.01, abs=1e-15)
-    assert report["max_diagonal"] <= 1e-10
+    assert report["max_diagonal"] < PROB_FLOOR
     assert report["contradiction"] is True
 
 
@@ -106,6 +108,20 @@ def test_report_grouped_overlap():
     assert report["compat_bound"] == pytest.approx(2.56e-6, rel=1e-12)
     assert report["cos_effective_omega"] == pytest.approx(0.6561, abs=1e-12)
     assert report["contradiction"] is True
+
+
+@pytest.mark.parametrize("d", [PROB_FLOOR, math.nextafter(PROB_FLOOR, 0.0)], ids=["floor", "below"])
+def test_report_and_sampler_agree_at_the_floor(monkeypatch, d):
+    # an outcome is forbidden in the report exactly when the sampler never draws it
+    p = np.full((4, 4), (1.0 - d) / 3.0)
+    np.fill_diagonal(p, d)
+    monkeypatch.setattr(experiment, "outcome_matrix", lambda omega, alpha, beta: p)
+    report = contradiction_report(OverlapAngle(cos=0.5), 0.5)
+    assert report["forbidden_probabilities"] == [d] * 4
+    for j in (1, 2, 3, 4):
+        # at 2^63 - 1 trials an outcome of probability 1e-12 is drawn ~10^7 times
+        drawn = sample_outcomes(p, j, MAX_TRIALS, j)[j - 1] > 0
+        assert report["contradiction"] is not drawn
 
 
 def test_report_rejects_bad_epsilon():

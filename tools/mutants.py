@@ -97,6 +97,16 @@ MUTANTS = [
         "                grid[-1] = 0.99\n", "                pass\n",
         ("tests/test_cli.py::test_figure_blocks_are_linspace",),
     ),
+    Mutant(
+        "the report's verdict back at <= 1e-10", "pbrkit/experiment.py",
+        "max_diagonal < PROB_FLOOR", "max_diagonal <= 1e-10",
+        ("tests/test_experiment.py::test_report_and_sampler_agree_at_the_floor",),
+    ),
+    Mutant(
+        "main returns EXIT_USAGE after --help", "pbrkit/cli.py",
+        "            return exc.code\n", "            return EXIT_USAGE\n",
+        ("tests/test_cli.py::test_help_returns_zero",),
+    ),
 ]
 
 
