@@ -7,15 +7,7 @@ possible, maps overlaps beyond the feasibility boundary onto an effective
 two-group problem, and samples the resulting statistics.
 """
 
-from .errors import (
-    AngleOutOfRange,
-    BadEpsilon,
-    BadPreparation,
-    DegeneratePair,
-    DimMismatch,
-    GridOutOfRange,
-    ToolkitError,
-)
+from .errors import DegeneratePair, ToolkitError
 from .experiment import (
     MAX_TRIALS,
     PROB_FLOOR,
@@ -47,15 +39,10 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleOutOfRange",
-    "BadEpsilon",
-    "BadPreparation",
     "BOUNDARY_TOL",
     "DegeneratePair",
     "DEGENERACY_THRESHOLD",
-    "DimMismatch",
     "FEASIBILITY_BOUNDARY",
-    "GridOutOfRange",
     "GroupingPlan",
     "MAX_TRIALS",
     "MeasurementSolution",

@@ -25,7 +25,7 @@ from .errors import DegeneratePair, ToolkitError
 from .experiment import MAX_TRIALS, contradiction_report, render_report, sample_outcomes
 from .linalg import TOL_NORM
 from .measurement import build_C, build_M, cos_beta_raw, outcome_matrix, solve_measurement, within_boundary
-from .reduction import alt_log_bound_raw, device_counts, grouping_plan
+from .reduction import device_counts, grouping_plan
 from .states import OverlapAngle, reduce_pair
 
 EXIT_OK = 0
@@ -39,13 +39,9 @@ EXIT_CONTRADICTION = 4
 RENORM_LIMIT = 1e-8
 
 
-class _UsageError(Exception):
-    """Flag or input problem; mapped to exit code 1 instead of argparse's 2."""
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+    def error(self, message):  # exit code 1, where argparse's own is 2
+        raise ToolkitError(message)
 
 
 def _g17(x) -> str:
@@ -254,7 +250,7 @@ def _write_csv(path: str, header: str, resolution: int, columns) -> None:
     never allocated.  The resolution is checked before the file is opened.
     """
     if resolution < 2:
-        raise _UsageError(f"resolution must be >= 2, got {resolution}")
+        raise ToolkitError(f"resolution must be >= 2, got {resolution}")
     step = (0.99 - 0.01) / (resolution - 1)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
@@ -288,7 +284,7 @@ def _fig1_columns(grid: np.ndarray):
 
 
 def _fig2_columns(grid: np.ndarray):
-    return grid, *device_counts(grid), alt_log_bound_raw(grid)
+    return grid, *device_counts(grid)
 
 
 def cmd_fig1(args) -> int:
@@ -304,18 +300,18 @@ def cmd_fig2(args) -> int:
 def _parse_state(obj: dict, name: str, dim: int) -> np.ndarray:
     entries = obj.get(name)
     if not isinstance(entries, list) or len(entries) != dim:
-        raise _UsageError(f"'{name}' must be a list of {dim} [re, im] pairs")
+        raise ToolkitError(f"'{name}' must be a list of {dim} [re, im] pairs")
     vec = np.empty(dim, dtype=complex)
     for k, entry in enumerate(entries):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise _UsageError(f"'{name}[{k}]' must be a [re, im] pair")
+            raise ToolkitError(f"'{name}[{k}]' must be a [re, im] pair")
         # float() would take JSON true as 1.0 and "0.6" as 0.6
         if not all(type(x) in (int, float) for x in entry):
-            raise _UsageError(f"'{name}[{k}]' holds non-numeric values")
+            raise ToolkitError(f"'{name}[{k}]' holds non-numeric values")
         try:
             vec[k] = complex(float(entry[0]), float(entry[1]))
         except OverflowError:
-            raise _UsageError(f"'{name}[{k}]' holds an integer beyond float range") from None
+            raise ToolkitError(f"'{name}[{k}]' holds an integer beyond float range") from None
     return vec
 
 
@@ -323,13 +319,13 @@ def _load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except ValueError as exc:  # bad JSON, an over-long integer literal, or bytes that are not UTF-8
-        raise _UsageError(f"{path}: invalid JSON ({exc})") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, non-UTF-8, too deep
+        raise ToolkitError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict) or type(obj.get("dim")) is not int:  # a bool is an int too
-        raise _UsageError("input must be an object with integer 'dim' and lists 'psi', 'phi'")
+        raise ToolkitError("input must be an object with integer 'dim' and lists 'psi', 'phi'")
     dim = obj["dim"]
     if dim < 2:
-        raise _UsageError(f"'dim' must be >= 2, got {dim}")
+        raise ToolkitError(f"'dim' must be >= 2, got {dim}")
     return _parse_state(obj, "psi", dim), _parse_state(obj, "phi", dim)
 
 
@@ -337,7 +333,7 @@ def _checked_norm(name: str, vec: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # entries past ~1.3e154 give norm inf, not a warning
         dev = abs(float(np.linalg.norm(vec)) - 1.0)
     if not dev <= RENORM_LIMIT:  # NaN fails this too
-        raise _UsageError(f"{name} norm deviates by {dev:.3e}, beyond {RENORM_LIMIT:g}")
+        raise ToolkitError(f"{name} norm deviates by {dev:.3e}, beyond {RENORM_LIMIT:g}")
     if dev > TOL_NORM:
         print(f"warning: renormalizing {name} (norm deviation {dev:.3e})", file=sys.stderr)
         return vec / np.linalg.norm(vec)
@@ -366,11 +362,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.trials < 1:
-        raise _UsageError(f"trials must be >= 1, got {args.trials}")
+        raise ToolkitError(f"trials must be >= 1, got {args.trials}")
     if args.trials > MAX_TRIALS:
-        raise _UsageError(f"trials must be <= 2**63 - 1, got {args.trials}")
+        raise ToolkitError(f"trials must be <= 2**63 - 1, got {args.trials}")
     if args.seed < 0:
-        raise _UsageError(f"seed must be >= 0, got {args.seed}")
+        raise ToolkitError(f"seed must be >= 0, got {args.seed}")
     omega = OverlapAngle(cos=args.cos_omega)
     plan = grouping_plan(omega)
     effective = plan.effective_omega
@@ -462,7 +458,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader of the output went away; there is nobody left to tell
         return EXIT_USAGE
-    except (_UsageError, ToolkitError, OSError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,29 +1,9 @@
-"""Exception types raised by the toolkit."""
+"""Exception types raised by the toolkit; the type decides the CLI's exit code."""
 
 
-class ToolkitError(Exception):
-    """Base class for all toolkit-specific errors."""
+class ToolkitError(ValueError):
+    """An input the toolkit rejects (exit code 1)."""
 
 
-class DimMismatch(ToolkitError, ValueError):
-    """Operands have incompatible dimensions."""
-
-
-class AngleOutOfRange(ToolkitError, ValueError):
-    """Overlap cos(omega) outside [0, 1)."""
-
-
-class DegeneratePair(ToolkitError, ValueError):
-    """States are identical up to a global phase."""
-
-
-class GridOutOfRange(ToolkitError, ValueError):
-    """Grid value outside the open interval (0, 1)."""
-
-
-class BadPreparation(ToolkitError, ValueError):
-    """Preparation index outside {1, 2, 3, 4}."""
-
-
-class BadEpsilon(ToolkitError, ValueError):
-    """Compatibility probability outside [0, 1]."""
+class DegeneratePair(ToolkitError):
+    """States are identical up to a global phase (exit code 3)."""

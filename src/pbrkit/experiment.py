@@ -12,7 +12,7 @@ outcome completely.
 
 import numpy as np
 
-from .errors import BadEpsilon, BadPreparation
+from .errors import ToolkitError
 from .measurement import outcome_matrix, solve_measurement
 from .reduction import grouping_plan
 from .states import OverlapAngle
@@ -36,9 +36,9 @@ def sample_outcomes(p: np.ndarray, preparation: int, trials: int, seed: int) -> 
     inputs give identical counts, returned as a tuple of ints.
     """
     if preparation not in (1, 2, 3, 4):
-        raise BadPreparation(f"preparation must be in 1..4, got {preparation}")
+        raise ToolkitError(f"preparation must be in 1..4, got {preparation}")
     if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must lie in [1, 2**63 - 1], got {trials}")
+        raise ToolkitError(f"trials must lie in [1, 2**63 - 1], got {trials}")
     column = p[:, preparation - 1]
     support = np.flatnonzero(column >= PROB_FLOOR)
     counts = np.zeros(4, dtype=np.int64)
@@ -58,7 +58,7 @@ def contradiction_report(omega: OverlapAngle, epsilon: float) -> dict:
     """
     epsilon = float(epsilon) + 0.0  # -0.0 prints as 0
     if not (0.0 <= epsilon <= 1.0):
-        raise BadEpsilon(f"epsilon must lie in [0, 1], got {epsilon!r}")
+        raise ToolkitError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     plan = grouping_plan(omega)
     solution = solve_measurement(plan.effective_omega)
     diagonal = np.diag(outcome_matrix(plan.effective_omega, solution.alpha, solution.beta)).tolist()

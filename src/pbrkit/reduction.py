@@ -25,7 +25,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .errors import GridOutOfRange
+from .errors import ToolkitError
 from .measurement import within_boundary
 from .states import OverlapAngle
 
@@ -64,7 +64,7 @@ def grouping_plan(omega: OverlapAngle) -> GroupingPlan:
     m is 1 within the boundary and ceil(ln 2 / (-2 ln cos(omega))) past it.
     """
     c = omega.cos
-    m = 1 if within_boundary(c) else _ceiling(_LOG_2 / (-2.0 * math.log1p(c - 1.0)), c, pbr=False)
+    m = 1 if within_boundary(c) else _ceiling(-0.5 * _LOG_2 / math.log(c), c, pbr=False)
     return GroupingPlan(n=2 * m, group_size=m, effective_omega=OverlapAngle(cos=c**m))
 
 
@@ -77,39 +77,38 @@ def min_n_pbr(omega: OverlapAngle) -> int:
     return 2 if within_boundary(c) else _ceiling(_LOG_2 / math.log1p(omega.tan_half), c, pbr=True)
 
 
-def device_counts(cos_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``min_n_pbr`` and ``grouping_plan(...).n`` at each cosine of an array.
+def device_counts(cos_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``min_n_pbr``, ``grouping_plan(...).n`` and ``alt_log_bound_raw`` at each cosine of an array.
 
-    The closed forms are array expressions here; a row where either
-    quotient is too near an integer takes both counts from the one-overlap
-    functions, so each element equals the one-overlap count.
+    The closed forms are array expressions here, and the group size's quotient
+    is the raw bound itself.  A row where either quotient is too near an
+    integer takes both counts from ``_ceiling``, as the one-overlap functions
+    do, so each element equals the one-overlap count.
     """
     c = np.asarray(cos_omega, dtype=float)
+    raw = alt_log_bound_raw(c)
     outside = ~within_boundary(c)
     x_pbr = _LOG_2 / np.log1p(np.sqrt((1.0 - c) / (1.0 + c)))
-    x_group = _LOG_2 / (-2.0 * np.log1p(c - 1.0))
     n_pbr = np.where(outside, np.ceil(x_pbr), 2).astype(np.int64)
-    n = np.where(outside, 2 * np.ceil(x_group), 2).astype(np.int64)
-    for i in np.flatnonzero(outside & (_near_integer(x_pbr) | _near_integer(x_group))).tolist():
-        omega = OverlapAngle(cos=float(c[i]))
-        n_pbr[i], n[i] = min_n_pbr(omega), grouping_plan(omega).n
-    return n_pbr, n
+    n = np.where(outside, 2 * np.ceil(raw), 2).astype(np.int64)
+    for i in np.flatnonzero(outside & (_near_integer(x_pbr) | _near_integer(raw))).tolist():
+        n_pbr[i] = _ceiling(x_pbr[i], c[i], pbr=True)
+        n[i] = 2 * _ceiling(raw[i], c[i], pbr=False)
+    return n_pbr, n, raw
 
 
 def alt_log_bound_raw(cos_omega):
     """Halved logarithmic form of the alternative-route device bound.
 
     Returns -ln(2) / (2 ln cos(omega)) with no evenness or minimality
-    enforcement, as a float for a float and as an array for an array.  The
-    operative condition cos^{n/2}(omega) <= sqrt(2)/2 needs roughly twice
-    this value (at cos(omega) = sqrt(2)/2 this raw form gives 1 while the
-    true minimal even count is 2), so the number is exposed only for curve
-    comparison in the figure data.
+    enforcement, as a float for a float and as an array for an array.  It is
+    the group size's quotient: past the boundary the minimal even count is
+    2 ceil of this value, taken in ``decimal`` where it is near an integer.
     """
     c = np.asarray(cos_omega, dtype=float)
     ok = (0.0 < c) & (c < 1.0)
     if not ok.all():
-        raise GridOutOfRange(f"cos(omega) must lie in (0, 1), got {float(c[~ok].flat[0])!r}")
+        raise ToolkitError(f"cos(omega) must lie in (0, 1), got {float(c[~ok].flat[0])!r}")
     # libm's log, element by element, not np.log: on an AVX-512 x86-64 host
     # with numpy 2.4.6, np.log differed from math.log in the last bit at
     # 15,390 of the 5,020,100 points of the fig2 grids at R = 200, 10^6 and

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleOutOfRange, DegeneratePair, DimMismatch
+from .errors import DegeneratePair, ToolkitError
 from .linalg import TOL_NORM
 
 # Overlap moduli this close to 1 are below the double-precision resolution of
@@ -38,7 +38,7 @@ class OverlapAngle:
 
     def __post_init__(self):
         if not (0.0 <= self.cos < 1.0):
-            raise AngleOutOfRange(f"cos(omega) must lie in [0, 1), got {self.cos!r}")
+            raise ToolkitError(f"cos(omega) must lie in [0, 1), got {self.cos!r}")
         object.__setattr__(self, "cos", self.cos + 0.0)  # -0.0 passes the check; make it +0.0
 
     @property
@@ -90,14 +90,14 @@ def reduce_pair(psi, phi) -> SymmetricPair:
     psi = np.asarray(psi, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
     if psi.ndim != 1 or phi.ndim != 1 or psi.shape != phi.shape:
-        raise DimMismatch(f"states must have equal length, got {psi.shape} and {phi.shape}")
+        raise ToolkitError(f"states must have equal length, got {psi.shape} and {phi.shape}")
     if psi.size < 2:
-        raise DimMismatch(f"states must have dim >= 2, got dim {psi.size}")
+        raise ToolkitError(f"states must have dim >= 2, got dim {psi.size}")
     with np.errstate(over="ignore"):  # entries past ~1.3e154 give norm inf, not a warning
         norms = {"psi": np.linalg.norm(psi), "phi": np.linalg.norm(phi)}
     for name, norm in norms.items():
         if not abs(norm - 1.0) <= TOL_NORM:  # NaN fails this too
-            raise ValueError(f"{name} is not normalized (norm {norm!r})")
+            raise ToolkitError(f"{name} is not normalized (norm {norm!r})")
 
     overlap = complex(np.vdot(psi, phi))
     if abs(overlap) >= DEGENERACY_THRESHOLD:

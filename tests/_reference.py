@@ -13,7 +13,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from pbrkit import DimMismatch, OverlapAngle, SymmetricPair
+from pbrkit import OverlapAngle, SymmetricPair
 
 # Tensor powers are capped at dim 2^10 = 1024.
 MAX_COPIES = 10
@@ -50,7 +50,7 @@ def product_state(s, copies: int) -> np.ndarray:
         raise CopiesOutOfRange(f"copies must lie in [1, {MAX_COPIES}], got {copies}")
     s = np.asarray(s, dtype=complex)
     if s.ndim != 1 or s.size != 2:
-        raise DimMismatch(f"expected a dim-2 state, got shape {s.shape}")
+        raise ValueError(f"expected a dim-2 state, got shape {s.shape}")
     return reduce(np.kron, [s] * copies)
 
 

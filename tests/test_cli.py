@@ -31,7 +31,7 @@ from pbrkit.measurement import (
     solve_measurement,
     within_boundary,
 )
-from pbrkit.reduction import grouping_plan, min_n_pbr
+from pbrkit.reduction import _near_integer, grouping_plan, min_n_pbr
 from pbrkit.states import OverlapAngle, reduce_pair
 
 ROOT2 = math.sqrt(2.0)
@@ -164,8 +164,9 @@ def test_fig2_byte_identical_runs(tmp_path):
 
 
 # SHA-256 of the CSVs, on x86-64 Linux with glibc's libm.  fig2's rows follow
-# libm's log, log1p and pow to the last bit, so another C library may give
-# other bytes; fig1's rows take only arithmetic and sqrt.
+# libm's log to the last bit, so another C library may give other bytes; its
+# log1p decides only n_pbr's ceiling, exact either way, and fig2 takes no pow.
+# fig1's rows take only arithmetic and sqrt.
 FIGURE_DIGESTS = [
     ("fig1", 200, "f57ce037d8bd6a1a22f01db283dabf59c7daac7dc0d980cf1c944f5f8dc8335b"),
     ("fig1", 20000, "467963d221f1d68438d1330f0ab0a11f1988e8397af5097e1b5cdb21be631055"),
@@ -203,9 +204,12 @@ def test_fig2_counts_equal_one_overlap_calls(tmp_path, monkeypatch, resolution, 
     assert cli.main(["fig2", "--resolution", str(resolution), "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == resolution
-    for c, n_pbr, n_alt, _ in rows:
+    for c, n_pbr, n_alt, raw in rows:
         omega = OverlapAngle(cos=float(c))
         assert (int(n_pbr), int(n_alt)) == (min_n_pbr(omega), grouping_plan(omega).n)
+        # past the boundary n_alt is 2 ceil(n_alt_log_raw), but where that quotient is near an integer
+        if not within_boundary(omega.cos) and not _near_integer(float(raw)):
+            assert int(n_alt) == 2 * math.ceil(float(raw))
 
 
 # Catches in Tier-1 what the figures workload's peak_mem_mb bound would refuse.
@@ -398,6 +402,8 @@ MALFORMED_JSON = {
     "long_entry": b'{"dim": 2, "psi": [[1' + b"0" * 4400 + b', 0], [0, 0]], "phi": [[0.6, 0], [0.8, 0]]}',
     "long_dim": b'{"dim": 1' + b"0" * 4400 + b', "psi": [], "phi": []}',
     "not_utf8": '{"dim": 2, "psi": [[1, 0], [0, 0]], "phi": [[0, 0], [1, 0]], "x": "\xe9"}'.encode("latin-1"),
+    # nested past the recursion limit, where json.load raises RecursionError
+    "too_deep": b"[" * 100000 + b"]" * 100000,
 }
 
 

@@ -10,9 +10,8 @@ from pbrkit import experiment
 from pbrkit import (
     MAX_TRIALS,
     PROB_FLOOR,
-    BadEpsilon,
-    BadPreparation,
     OverlapAngle,
+    ToolkitError,
     contradiction_report,
     outcome_matrix,
     render_report,
@@ -74,16 +73,16 @@ def test_sample_empirical_frequencies_converge():
 
 def test_sample_rejects_bad_preparation():
     p = _solved_matrix(0.5)
-    with pytest.raises(BadPreparation):
+    with pytest.raises(ToolkitError, match="preparation must be in 1..4, got 0"):
         sample_outcomes(p, 0, 10, 0)
-    with pytest.raises(BadPreparation):
+    with pytest.raises(ToolkitError, match="preparation must be in 1..4, got 5"):
         sample_outcomes(p, 5, 10, 0)
 
 
 def test_sample_rejects_bad_trials():
-    with pytest.raises(ValueError):
+    with pytest.raises(ToolkitError, match=r"trials must lie in \[1, 2\*\*63 - 1\], got 0"):
         sample_outcomes(_solved_matrix(0.5), 1, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ToolkitError, match=r"trials must lie in \[1, 2\*\*63 - 1\], got 9223372036854775808"):
         sample_outcomes(_solved_matrix(0.5), 1, MAX_TRIALS + 1, 0)
 
 
@@ -125,9 +124,9 @@ def test_report_and_sampler_agree_at_the_floor(monkeypatch, d):
 
 
 def test_report_rejects_bad_epsilon():
-    with pytest.raises(BadEpsilon):
+    with pytest.raises(ToolkitError, match=r"epsilon must lie in \[0, 1\], got -0.1"):
         contradiction_report(OverlapAngle(cos=0.5), -0.1)
-    with pytest.raises(BadEpsilon):
+    with pytest.raises(ToolkitError, match=r"epsilon must lie in \[0, 1\], got 1.1"):
         contradiction_report(OverlapAngle(cos=0.5), 1.1)
 
 

@@ -9,9 +9,8 @@ import pytest
 from _reference import group_size_minimal, make_pair, near_integer_cos, pbr_count_minimal, product_state
 from pbrkit import (
     FEASIBILITY_BOUNDARY,
-    AngleOutOfRange,
-    GridOutOfRange,
     OverlapAngle,
+    ToolkitError,
     alt_log_bound_raw,
     grouping_plan,
     min_n_pbr,
@@ -126,9 +125,9 @@ def test_alt_log_bound_raw_is_half_the_operative_count():
 
 
 def test_alt_log_bound_raw_validates_range():
-    with pytest.raises(GridOutOfRange):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \(0, 1\), got 1.0"):
         alt_log_bound_raw(1.0)
-    with pytest.raises(GridOutOfRange):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \(0, 1\), got 0.0"):
         alt_log_bound_raw(0.0)
 
 
@@ -151,12 +150,13 @@ def test_device_counts_equal_one_overlap_counts_where_guarded():
     # integer to trust its ceiling, so the row goes through the decimal count
     cosines = near_integer_cos()
     for c in cosines:
-        x_group = _LOG_2 / (-2.0 * math.log1p(c - 1.0))
+        x_group = -0.5 * _LOG_2 / math.log(c)
         x_pbr = _LOG_2 / math.log1p(OverlapAngle(cos=c).tan_half)
         assert _near_integer(x_group) or _near_integer(x_pbr)
-    n_pbr, n = device_counts(np.array(cosines))
+    n_pbr, n, raw = device_counts(np.array(cosines))
     assert n_pbr.tolist() == [min_n_pbr(OverlapAngle(cos=c)) for c in cosines]
     assert n.tolist() == [grouping_plan(OverlapAngle(cos=c)).n for c in cosines]
+    assert raw.tolist() == [alt_log_bound_raw(c) for c in cosines]
 
 
 def test_alt_log_bound_raw_is_libm_log_per_element():
@@ -171,7 +171,7 @@ def test_alt_log_bound_raw_is_libm_log_per_element():
 def test_grouping_plan_rejects_angle_with_unit_cosine():
     # no group size exists at cos(omega) = 1, where ln cos(omega) = 0; the
     # overlap refuses it, and one ulp below 1 the group size is exact
-    with pytest.raises(AngleOutOfRange, match=r"cos\(omega\) must lie in \[0, 1\), got 1.0"):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \[0, 1\), got 1.0"):
         grouping_plan(OverlapAngle(cos=1.0))
     c = math.nextafter(1.0, 0.0)
     assert group_size_minimal(c, grouping_plan(OverlapAngle(cos=c)).group_size)
@@ -180,11 +180,11 @@ def test_grouping_plan_rejects_angle_with_unit_cosine():
 def test_min_n_pbr_rejects_angle_with_zero_half():
     # tan(omega/2) = 0 needs cos(omega) = 1, which the overlap refuses; one
     # ulp below 1 it is 2^-27, not 0
-    with pytest.raises(AngleOutOfRange, match=r"cos\(omega\) must lie in \[0, 1\), got 1.0"):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \[0, 1\), got 1.0"):
         min_n_pbr(OverlapAngle(cos=1.0))
     assert OverlapAngle(cos=math.nextafter(1.0, 0.0)).tan_half == 2.0**-27
 
 
 def test_alt_log_bound_raw_validates_arrays():
-    with pytest.raises(GridOutOfRange, match="got nan"):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \(0, 1\), got nan"):
         alt_log_bound_raw(np.array([0.5, math.nan]))

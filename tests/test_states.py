@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _reference import CopiesOutOfRange, ambient, make_pair, product_state
-from pbrkit import AngleOutOfRange, DegeneratePair, DimMismatch, OverlapAngle, reduce_pair
+from pbrkit import DegeneratePair, OverlapAngle, ToolkitError, reduce_pair
 
 ROOT2 = math.sqrt(2.0)
 
@@ -30,24 +30,24 @@ def test_overlap_angle_bounds():
     # omega = pi/2 and 1e-6 are in range; omega = 0 and pi/2 + 1e-9 are not
     OverlapAngle(cos=math.cos(math.pi / 2))
     OverlapAngle(cos=math.cos(1e-6))
-    with pytest.raises(AngleOutOfRange):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \[0, 1\), got "):
         OverlapAngle(cos=math.cos(0.0))
-    with pytest.raises(AngleOutOfRange):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \[0, 1\), got "):
         OverlapAngle(cos=math.cos(math.pi / 2 + 1e-9))
 
 
 def test_overlap_angle_from_cos():
     assert OverlapAngle(cos=0.0).omega == pytest.approx(math.pi / 2)
     assert OverlapAngle(cos=0.5).cos == 0.5
-    with pytest.raises(AngleOutOfRange):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \[0, 1\), got "):
         OverlapAngle(cos=1.0)
-    with pytest.raises(AngleOutOfRange):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \[0, 1\), got "):
         OverlapAngle(cos=-0.1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.0, -1e-300])
 def test_overlap_angle_rejects(bad):
-    with pytest.raises(AngleOutOfRange, match=r"cos\(omega\) must lie in \[0, 1\), got "):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \[0, 1\), got "):
         OverlapAngle(cos=bad)
 
 
@@ -70,7 +70,7 @@ def test_make_pair_overlap_matches_cos():
 
 def test_make_pair_rejects_zero_angle():
     # omega = 0, cos(omega) = 1: no pair can be asked for
-    with pytest.raises(AngleOutOfRange):
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \[0, 1\), got "):
         make_pair(OverlapAngle(cos=1.0))
 
 
@@ -100,33 +100,33 @@ def test_reduce_pair_degenerate_rejected():
     rng = np.random.default_rng(3)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi /= np.linalg.norm(psi)
-    with pytest.raises(DegeneratePair):
+    with pytest.raises(DegeneratePair, match="states are identical up to a global phase"):
         reduce_pair(psi, psi * np.exp(1.2j))
 
 
 def test_reduce_pair_dim_mismatch():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ToolkitError, match=r"states must have equal length, got \(2,\) and \(3,\)"):
         reduce_pair(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
 def test_reduce_pair_unnormalized_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ToolkitError, match="psi is not normalized"):
         reduce_pair(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_reduce_pair_non_finite_rejected(bad):
     # a NaN norm deviation compares false against any limit
-    with pytest.raises(ValueError, match="psi is not normalized"):
+    with pytest.raises(ToolkitError, match="psi is not normalized"):
         reduce_pair(np.array([bad, 0.0]), np.array([0.6, 0.8]))
 
 
 @pytest.mark.parametrize("name", ["psi", "phi"])
 def test_reduce_pair_overflowing_norm_rejected(name):
-    # the squared norm overflows to inf: a ValueError, not numpy's RuntimeWarning
+    # the squared norm overflows to inf: a ToolkitError, not numpy's RuntimeWarning
     states = {"psi": np.array([0.6, 0.8]), "phi": np.array([0.8, 0.6])}
     states[name] = np.array([1e200, 0.0])
-    with pytest.raises(ValueError, match=f"{name} is not normalized"):
+    with pytest.raises(ToolkitError, match=f"{name} is not normalized"):
         reduce_pair(states["psi"], states["phi"])
 
 
@@ -187,5 +187,5 @@ def test_product_state_copies_out_of_range():
 
 
 def test_product_state_requires_qubit():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ValueError, match=r"expected a dim-2 state, got shape \(3,\)"):
         product_state(np.array([1.0, 0.0, 0.0]), 2)

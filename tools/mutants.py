@@ -41,8 +41,8 @@ NO_OP = Mutant(
 MUTANTS = [
     Mutant(
         "BOUNDARY_TOL (1e-12) back in the group size's closed form", "pbrkit/reduction.py",
-        "_ceiling(_LOG_2 / (-2.0 * math.log1p(c - 1.0)), c, pbr=False)",
-        "_ceiling(math.log(math.sqrt(0.5) + 1e-12) / math.log1p(c - 1.0), c, pbr=False)",
+        "_ceiling(-0.5 * _LOG_2 / math.log(c), c, pbr=False)",
+        "_ceiling(math.log(math.sqrt(0.5) + 1e-12) / math.log(c), c, pbr=False)",
         ("tests/test_properties.py::test_device_counts_are_mpmath_ceilings",),
     ),
     Mutant(
@@ -53,7 +53,7 @@ MUTANTS = [
     ),
     Mutant(
         "device_counts keeps the float ceiling at guarded rows", "pbrkit/reduction.py",
-        "    for i in np.flatnonzero(outside & (_near_integer(x_pbr) | _near_integer(x_group))).tolist():\n",
+        "    for i in np.flatnonzero(outside & (_near_integer(x_pbr) | _near_integer(raw))).tolist():\n",
         "    for i in []:\n",
         ("tests/test_reduction.py::test_device_counts_equal_one_overlap_counts_where_guarded",),
     ),
@@ -106,6 +106,11 @@ MUTANTS = [
         "main returns EXIT_USAGE after --help", "pbrkit/cli.py",
         "            return exc.code\n", "            return EXIT_USAGE\n",
         ("tests/test_cli.py::test_help_returns_zero",),
+    ),
+    Mutant(
+        "_load_pair lets a RecursionError from json.load through", "pbrkit/cli.py",
+        "except (ValueError, RecursionError) as exc:", "except ValueError as exc:",
+        ("tests/test_cli.py::test_reduce_malformed_json[too_deep]",),
     ),
 ]
 
