@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .errors import DegeneratePair, ToolkitError
-from .experiment import MAX_TRIALS, contradiction_report, render_report, sample_outcomes
+from .experiment import contradiction_report, render_report, sample_outcomes
 from .linalg import TOL_NORM
 from .measurement import build_C, build_M, cos_beta_raw, outcome_matrix, solve_measurement, within_boundary
 from .reduction import device_counts, grouping_plan
@@ -344,11 +344,7 @@ def cmd_reduce(args) -> int:
     psi, phi = _load_pair(args.in_path)
     psi = _checked_norm("psi", psi)
     phi = _checked_norm("phi", phi)
-    try:
-        pair = reduce_pair(psi, phi)
-    except DegeneratePair:
-        print("error: states identical up to phase", file=sys.stderr)
-        return EXIT_DEGENERATE
+    pair = reduce_pair(psi, phi)
     plan = grouping_plan(pair.omega)
     print(f"cos_omega = {_g17(pair.omega.cos)}")
     print(f"omega = {_g17(pair.omega.omega)}")
@@ -361,24 +357,19 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ToolkitError(f"trials must be >= 1, got {args.trials}")
-    if args.trials > MAX_TRIALS:
-        raise ToolkitError(f"trials must be <= 2**63 - 1, got {args.trials}")
-    if args.seed < 0:
-        raise ToolkitError(f"seed must be >= 0, got {args.seed}")
     omega = OverlapAngle(cos=args.cos_omega)
     plan = grouping_plan(omega)
     effective = plan.effective_omega
     sol = solve_measurement(effective)
+    probs = outcome_matrix(effective, sol.alpha, sol.beta)
+    # All four draws come first, so a rejected trials or seed prints nothing.
+    drawn = [sample_outcomes(probs, j, args.trials, args.seed + (j - 1)) for j in (1, 2, 3, 4)]
     if plan.n > 2:
         print(f"reduced: n={plan.n}, effective cos = {_g17(effective.cos)}")
-    probs = outcome_matrix(effective, sol.alpha, sol.beta)
     print(f"cos_omega = {_g17(omega.cos)}, beta = {_g17(sol.beta)}, alpha = {_g17(sol.alpha)}")
     print(f"trials = {args.trials} per preparation, base seed = {args.seed}")
     fired = 0
-    for j in (1, 2, 3, 4):
-        counts = sample_outcomes(probs, j, args.trials, args.seed + (j - 1))
+    for j, counts in enumerate(drawn, start=1):
         fired += counts[j - 1]
         joined = ", ".join(str(k) for k in counts)
         print(f"preparation {j}: counts = [{joined}], forbidden outcome {j} count = {counts[j - 1]}")
@@ -402,10 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Forbidden-outcome construction for pairwise-overlapping preparations.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    overlap = argparse.ArgumentParser(add_help=False)
+    overlap.add_argument("--cos-omega", dest="cos_omega", type=float, required=True,
+                         help="overlap cos(omega) in [0, 1)")
 
-    p = sub.add_parser("solve", help="solve the measurement phases at one overlap value")
-    p.add_argument("--cos-omega", dest="cos_omega", type=float, required=True,
-                   help="overlap cos(omega) in [0, 1)")
+    sub.add_parser("solve", parents=[overlap], help="solve the measurement phases at one overlap value")
 
     for name, help_text in (
         ("fig1", "emit cos(beta) curve data as CSV"),
@@ -420,17 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True,
                    help="JSON file: {dim, psi: [[re, im], ...], phi: [...]}")
 
-    p = sub.add_parser("simulate", help="sample outcome counts for all four joint preparations")
-    p.add_argument("--cos-omega", dest="cos_omega", type=float, required=True,
-                   help="overlap cos(omega) in [0, 1)")
+    p = sub.add_parser("simulate", parents=[overlap], help="sample outcome counts for all four joint preparations")
     p.add_argument("--trials", type=int, default=10000,
                    help="samples per preparation (default 10000)")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed; preparation j samples with seed + j - 1 (default 0)")
 
-    p = sub.add_parser("report", help="render the epsilon^n incompatibility report")
-    p.add_argument("--cos-omega", dest="cos_omega", type=float, required=True,
-                   help="overlap cos(omega) in [0, 1)")
+    p = sub.add_parser("report", parents=[overlap], help="render the epsilon^n incompatibility report")
     p.add_argument("--epsilon", type=float, required=True,
                    help="assumed per-device compatibility probability in [0, 1]")
     p.add_argument("--json", dest="as_json", action="store_true",
@@ -460,7 +448,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DEGENERATE if isinstance(exc, DegeneratePair) else EXIT_USAGE
 
 
 def entry_point() -> None:

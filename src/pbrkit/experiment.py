@@ -31,14 +31,18 @@ def sample_outcomes(p: np.ndarray, preparation: int, trials: int, seed: int) -> 
     ``p`` is an :func:`outcome_matrix`.  The support is the entries of the
     preparation's column at or above PROB_FLOOR.  It is renormalized and
     sampled with numpy's PCG64 ``Generator.multinomial`` seeded with
-    ``seed``; every other outcome counts 0 by construction.  Time and
+    ``seed`` (>= 0); every other outcome counts 0 by construction.  Time and
     memory do not grow with ``trials`` (1 to MAX_TRIALS), and identical
     inputs give identical counts, returned as a tuple of ints.
     """
     if preparation not in (1, 2, 3, 4):
         raise ToolkitError(f"preparation must be in 1..4, got {preparation}")
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ToolkitError(f"trials must lie in [1, 2**63 - 1], got {trials}")
+    if trials < 1:
+        raise ToolkitError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ToolkitError(f"trials must be <= 2**63 - 1, got {trials}")
+    if seed < 0:
+        raise ToolkitError(f"seed must be >= 0, got {seed}")
     column = p[:, preparation - 1]
     support = np.flatnonzero(column >= PROB_FLOOR)
     counts = np.zeros(4, dtype=np.int64)

@@ -101,7 +101,7 @@ def reduce_pair(psi, phi) -> SymmetricPair:
 
     overlap = complex(np.vdot(psi, phi))
     if abs(overlap) >= DEGENERACY_THRESHOLD:
-        raise DegeneratePair("states are identical up to a global phase")
+        raise DegeneratePair("states identical up to phase")
 
     phase = float(np.angle(overlap)) if abs(overlap) > 0.0 else 0.0
     phi_aligned = phi * np.exp(-1j * phase)

@@ -393,7 +393,9 @@ def test_reduce_grouped_pair(tmp_path, capsys):
 def test_reduce_degenerate_pair(tmp_path, capsys):
     path = _write_pair(tmp_path / "dup.json", 2, [[1, 0], [0, 0]], [[0, 1], [0, 0]])
     assert cli.main(["reduce", "--in", path]) == 3
-    assert "states identical up to phase" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: states identical up to phase\n"
 
 
 MALFORMED_JSON = {
@@ -421,7 +423,9 @@ def test_reduce_schema_violation(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"dim": 3, "psi": [[1, 0]], "phi": [[1, 0]]}))
     assert cli.main(["reduce", "--in", str(path)]) == 1
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 'psi' must be a list of 3 [re, im] pairs\n"
 
 
 def test_reduce_renormalizes_with_warning(tmp_path, capsys):
@@ -475,13 +479,17 @@ JSON_NON_NUMBERS = {
                        "'phi[1]' holds non-numeric values"),
     "psi_beyond_float": ('{"dim": 2, "psi": [[1' + "0" * 400 + ', 0], [0, 0]], "phi": [[0.6, 0], [0.8, 0]]}',
                          "'psi[0]' holds an integer beyond float range"),
+    "psi_entry_not_pair": ('{"dim": 2, "psi": [[1, 0, 0], [0, 0]], "phi": [[0.6, 0], [0.8, 0]]}',
+                           "'psi[0]' must be a [re, im] pair"),
+    "dim_one": ('{"dim": 1, "psi": [[1, 0]], "phi": [[1, 0]]}', "'dim' must be >= 2, got 1"),
 }
 
 
 @pytest.mark.parametrize("text,message", JSON_NON_NUMBERS.values(), ids=JSON_NON_NUMBERS)
 def test_reduce_rejects_json_booleans(tmp_path, capsys, text, message):
     # float() takes true as 1.0 and "0.6" as 0.6, True is an int, and an
-    # integer past 1.8e308 overflows float(): only JSON numbers in float range pass
+    # integer past 1.8e308 overflows float(): only JSON numbers in float range pass.
+    # An entry that is not a pair, or a dim below 2, is rejected as well.
     path = tmp_path / "bool.json"
     path.write_text(text)
     assert cli.main(["reduce", "--in", str(path)]) == 1
@@ -663,8 +671,18 @@ def test_simulate_auto_reduction(capsys):
 
 
 def test_simulate_bad_trials(capsys):
+    # rejected by the first draw, which comes before any line is printed
     assert cli.main(["simulate", "--cos-omega", "0.5", "--trials", "0"]) == 1
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trials must be >= 1, got 0\n"
+
+
+def test_simulate_reports_bad_overlap_before_bad_trials(capsys):
+    assert cli.main(["simulate", "--cos-omega", "1", "--trials", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cos(omega) must lie in [0, 1), got 1.0\n"
 
 
 def test_simulate_trials_beyond_int64(capsys):

@@ -100,13 +100,15 @@ def test_reduce_pair_degenerate_rejected():
     rng = np.random.default_rng(3)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi /= np.linalg.norm(psi)
-    with pytest.raises(DegeneratePair, match="states are identical up to a global phase"):
+    with pytest.raises(DegeneratePair, match="states identical up to phase"):
         reduce_pair(psi, psi * np.exp(1.2j))
 
 
 def test_reduce_pair_dim_mismatch():
     with pytest.raises(ToolkitError, match=r"states must have equal length, got \(2,\) and \(3,\)"):
         reduce_pair(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ToolkitError, match="states must have dim >= 2, got dim 1"):
+        reduce_pair(np.array([1.0]), np.array([1.0]))
 
 
 def test_reduce_pair_unnormalized_rejected():

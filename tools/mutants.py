@@ -112,6 +112,18 @@ MUTANTS = [
         "except (ValueError, RecursionError) as exc:", "except ValueError as exc:",
         ("tests/test_cli.py::test_reduce_malformed_json[too_deep]",),
     ),
+    Mutant(
+        "sample_outcomes without its seed check", "pbrkit/experiment.py",
+        '    if seed < 0:\n        raise ToolkitError(f"seed must be >= 0, got {seed}")\n', "",
+        ("tests/test_experiment.py::test_sample_rejects_bad_trials",
+         "tests/test_cli.py::test_simulate_negative_seed"),
+    ),
+    Mutant(
+        "main returns EXIT_USAGE for a DegeneratePair", "pbrkit/cli.py",
+        "        return EXIT_DEGENERATE if isinstance(exc, DegeneratePair) else EXIT_USAGE\n",
+        "        return EXIT_USAGE\n",
+        ("tests/test_cli.py::test_reduce_degenerate_pair",),
+    ),
 ]
 
 
