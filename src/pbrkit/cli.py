@@ -387,12 +387,14 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser; subcommand ``name`` is carried out by ``cmd_<name>``."""
+    """A fresh parser; subcommand ``name`` is carried out by ``cmd_<name>``, and
+    the parser's ``commands`` maps each name to its subcommand's parser."""
     parser = _Parser(
         prog="pbrkit",
         description="Forbidden-outcome construction for pairwise-overlapping preparations.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    parser.commands = sub.choices
     overlap = argparse.ArgumentParser(add_help=False)
     overlap.add_argument("--cos-omega", dest="cos_omega", type=float, required=True,
                          help="overlap cos(omega) in [0, 1)")
@@ -436,9 +438,18 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # An argv that opens with a command name goes straight to that command's
+    # parser, as the full parser would pass it on; anything else (help, no or
+    # an unknown command) takes the full parser and its messages.
+    subparser = _PARSER.commands.get(argv[0]) if argv else None
     try:
         try:
-            args = _PARSER.parse_args(argv)
+            if subparser is None:
+                args = _PARSER.parse_args(argv)
+            else:
+                args = subparser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         except SystemExit as exc:  # argparse's exit after --help
             return exc.code
         # Looked up by name at each call, so a rebound cmd_* is the one that runs.

@@ -43,12 +43,18 @@ def sample_outcomes(p: np.ndarray, preparation: int, trials: int, seed: int) -> 
         raise ToolkitError(f"trials must be <= 2**63 - 1, got {trials}")
     if seed < 0:
         raise ToolkitError(f"seed must be >= 0, got {seed}")
-    column = p[:, preparation - 1]
-    support = np.flatnonzero(column >= PROB_FLOOR)
-    counts = np.zeros(4, dtype=np.int64)
-    weights = column[support]
-    counts[support] = np.random.default_rng(seed).multinomial(trials, weights / weights.sum())
-    return tuple(counts.tolist())
+    column = p[:, preparation - 1].tolist()
+    support = [k for k, w in enumerate(column) if w >= PROB_FLOOR]
+    # numpy sums at most 7 floats left to right from 0, so these are the
+    # bits of weights / weights.sum() (Python's sum() is compensated since 3.12).
+    total = 0.0
+    for k in support:
+        total += column[k]
+    drawn = np.random.default_rng(seed).multinomial(trials, [column[k] / total for k in support]).tolist()
+    counts = [0, 0, 0, 0]
+    for k, n in zip(support, drawn):
+        counts[k] = n
+    return tuple(counts)
 
 
 def contradiction_report(omega: OverlapAngle, epsilon: float) -> dict:

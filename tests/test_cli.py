@@ -829,6 +829,66 @@ def test_help_returns_zero(monkeypatch, capsys):
         assert (result.returncode, result.stdout, result.stderr) == (0, in_process.out, in_process.err)
 
 
+# main hands an argv that opens with a command name to that command's parser;
+# each of these must end as it does through the full parser.
+DISPATCH_ARGVS = [
+    *(argv for calls in REUSE_SEQUENCES.values() for argv in calls),
+    *([*command, "--help"] for command in HELP_USAGE),
+    ["solve", "--cos=0.5"],
+    ["solve", "--cos-omega=0.5"],
+    ["solve", "--", "--cos-omega", "0.5"],
+    ["simulate", "--cos-omega", "0.5", "--trials", "3", "--"],
+    ["--", "solve", "--cos-omega", "0.5"],
+    ["simulate", "--cos-omega", "0.5", "--seed", "-1"],
+    ["simulate", "--cos-omega", "0.5", "--trials", "3", "--trials", "5"],
+    ["report", "--cos-omega", "0.5", "--epsilon", "0.2", "extra"],
+    ["sol", "--cos-omega", "0.5"],
+    [],
+    ["-h", "solve"],
+]
+
+
+def _outcome(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "no-argument")
+def test_dispatch_matches_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    dispatched = _outcome(capsys, argv)  # builds the parser if no call has yet
+    monkeypatch.setattr(cli._PARSER, "commands", {})  # every argv now takes the full parser
+    assert _outcome(capsys, argv) == dispatched
+
+
+def test_command_call_skips_the_full_parser(monkeypatch, capsys, tmp_path):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_PARSER", parser)
+    calls = []
+    parse_known_args = parser.parse_known_args
+
+    def counting_parse_known_args(*args, **kwargs):
+        calls.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counting_parse_known_args)
+    pair = _write_pair(tmp_path / "pair.json", 2, [[1, 0], [0, 0]], [[0.6, 0], [0.8, 0]])
+    commands = [
+        ["fig1", "--resolution", "2", "--out", str(tmp_path / "fig1.csv")],
+        ["fig2", "--resolution", "2", "--out", str(tmp_path / "fig2.csv")],
+        ["reduce", "--in", pair],
+        *(argv for argv in DISPATCH_ARGVS if argv and argv[0] in parser.commands),
+    ]
+    assert {argv[0] for argv in commands} == set(parser.commands)
+    for argv in commands:
+        cli.main(argv)
+    assert calls == []
+    cli.main(["sol", "--cos-omega", "0.5"])
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_import_builds_no_parser():
     code = textwrap.dedent(
         """

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbrkit import experiment
 from pbrkit import (
@@ -87,6 +89,28 @@ def test_sample_rejects_bad_trials():
     # numpy's own seeding raises a bare ValueError here
     with pytest.raises(ToolkitError, match="seed must be >= 0, got -1"):
         sample_outcomes(_solved_matrix(0.5), 1, 10, -1)
+
+
+@st.composite
+def _columns(draw):
+    """4 entries: 1 to 4 at or above PROB_FLOOR, the rest zero or just below it, in any order."""
+    drawn = draw(st.lists(st.one_of(st.just(PROB_FLOOR), st.floats(PROB_FLOOR, 1.0)), min_size=1, max_size=4))
+    below = st.one_of(st.just(math.nextafter(PROB_FLOOR, 0.0)), st.floats(0.0, PROB_FLOOR, exclude_max=True))
+    drawn += draw(st.lists(below, min_size=4 - len(drawn), max_size=4 - len(drawn)))
+    return draw(st.permutations(drawn))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_columns(), st.integers(1, 4), st.one_of(st.integers(1, 1000), st.integers(1, MAX_TRIALS)),
+       st.one_of(st.integers(0, 2**32), st.integers(0, 2**128)))
+def test_sample_is_the_numpy_multinomial_over_the_support(column, preparation, trials, seed):
+    p = np.full((4, 4), 0.25)
+    p[:, preparation - 1] = column
+    support = np.flatnonzero(p[:, preparation - 1] >= PROB_FLOOR)
+    weights = p[support, preparation - 1]
+    expected = np.zeros(4, dtype=np.int64)
+    expected[support] = np.random.default_rng(seed).multinomial(trials, weights / weights.sum())
+    assert sample_outcomes(p, preparation, trials, seed) == tuple(expected.tolist())
 
 
 def test_report_zero_epsilon_is_vacuous():

@@ -124,6 +124,20 @@ MUTANTS = [
         "        return EXIT_USAGE\n",
         ("tests/test_cli.py::test_reduce_degenerate_pair",),
     ),
+    Mutant(
+        "main sends an unknown command to solve's parser, not the full parser", "pbrkit/cli.py",
+        "    subparser = _PARSER.commands.get(argv[0]) if argv else None\n",
+        '    subparser = _PARSER.commands.get(argv[0], _PARSER.commands["solve"]) if argv else None\n',
+        ("tests/test_cli.py::test_dispatch_matches_full_parser",
+         "tests/test_cli.py::test_command_call_skips_the_full_parser"),
+    ),
+    Mutant(
+        "sample_outcomes normalises over the whole column", "pbrkit/experiment.py",
+        "    for k in support:\n        total += column[k]\n",
+        "    for k in range(4):\n        total += column[k]\n",
+        ("tests/test_experiment.py::test_sample_is_the_numpy_multinomial_over_the_support",
+         "tests/test_cli.py::test_report_simulate_bytes_pinned"),
+    ),
 ]
 
 
