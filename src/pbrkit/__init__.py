@@ -19,7 +19,6 @@ from .linalg import TOL_NORM
 from .measurement import (
     BOUNDARY_TOL,
     FEASIBILITY_BOUNDARY,
-    MeasurementSolution,
     build_C,
     build_M,
     cos_beta_raw,
@@ -45,7 +44,6 @@ __all__ = [
     "FEASIBILITY_BOUNDARY",
     "GroupingPlan",
     "MAX_TRIALS",
-    "MeasurementSolution",
     "OverlapAngle",
     "PROB_FLOOR",
     "SymmetricPair",

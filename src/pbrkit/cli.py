@@ -263,16 +263,17 @@ def _write_csv(path: str, header: str, resolution: int, columns) -> None:
 
 def cmd_solve(args) -> int:
     angle = OverlapAngle(cos=args.cos_omega)
-    sol = solve_measurement(angle)
+    phases = solve_measurement(angle)
     print(f"cos_omega = {_g17(angle.cos)}")
-    print(f"cos_beta_raw = {_g17(sol.cos_beta_raw)}")
-    if not sol.feasible:
+    print(f"cos_beta_raw = {_g17(cos_beta_raw(angle.cos))}")
+    if phases is None:
         print("INFEASIBLE: no real beta nulls the diagonal at this overlap; group devices first")
         return EXIT_INFEASIBLE
-    print(f"beta = {_g17(sol.beta)}")
-    print(f"alpha = {_g17(sol.alpha)}")
-    probs = outcome_matrix(angle, sol.alpha, sol.beta)
-    print(_format_matrix("M", build_M(sol.alpha, sol.beta)))
+    alpha, beta = phases
+    print(f"beta = {_g17(beta)}")
+    print(f"alpha = {_g17(alpha)}")
+    probs = outcome_matrix(angle, alpha, beta)
+    print(_format_matrix("M", build_M(alpha, beta)))
     print(_format_matrix("C", build_C(angle)))
     print(_format_matrix("P", probs))
     print(f"max diagonal probability = {_g17(probs.diagonal().max())}")
@@ -331,12 +332,13 @@ def _load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_norm(name: str, vec: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # entries past ~1.3e154 give norm inf, not a warning
-        dev = abs(float(np.linalg.norm(vec)) - 1.0)
+        norm = float(np.linalg.norm(vec))
+    dev = abs(norm - 1.0)
     if not dev <= RENORM_LIMIT:  # NaN fails this too
         raise ToolkitError(f"{name} norm deviates by {dev:.3e}, beyond {RENORM_LIMIT:g}")
     if dev > TOL_NORM:
         print(f"warning: renormalizing {name} (norm deviation {dev:.3e})", file=sys.stderr)
-        return vec / np.linalg.norm(vec)
+        return vec / norm
     return vec
 
 
@@ -360,13 +362,13 @@ def cmd_simulate(args) -> int:
     omega = OverlapAngle(cos=args.cos_omega)
     plan = grouping_plan(omega)
     effective = plan.effective_omega
-    sol = solve_measurement(effective)
-    probs = outcome_matrix(effective, sol.alpha, sol.beta)
+    alpha, beta = solve_measurement(effective)
+    probs = outcome_matrix(effective, alpha, beta)
     # All four draws come first, so a rejected trials or seed prints nothing.
     drawn = [sample_outcomes(probs, j, args.trials, args.seed + (j - 1)) for j in (1, 2, 3, 4)]
     if plan.n > 2:
         print(f"reduced: n={plan.n}, effective cos = {_g17(effective.cos)}")
-    print(f"cos_omega = {_g17(omega.cos)}, beta = {_g17(sol.beta)}, alpha = {_g17(sol.alpha)}")
+    print(f"cos_omega = {_g17(omega.cos)}, beta = {_g17(beta)}, alpha = {_g17(alpha)}")
     print(f"trials = {args.trials} per preparation, base seed = {args.seed}")
     fired = 0
     for j, counts in enumerate(drawn, start=1):

@@ -70,8 +70,8 @@ def contradiction_report(omega: OverlapAngle, epsilon: float) -> dict:
     if not (0.0 <= epsilon <= 1.0):
         raise ToolkitError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     plan = grouping_plan(omega)
-    solution = solve_measurement(plan.effective_omega)
-    diagonal = np.diag(outcome_matrix(plan.effective_omega, solution.alpha, solution.beta)).tolist()
+    alpha, beta = solve_measurement(plan.effective_omega)
+    diagonal = np.diag(outcome_matrix(plan.effective_omega, alpha, beta)).tolist()
     max_diagonal = max(diagonal)
     return {
         "cos_omega": omega.cos,
@@ -80,8 +80,8 @@ def contradiction_report(omega: OverlapAngle, epsilon: float) -> dict:
         "n": plan.n,
         "group_size": plan.group_size,
         "cos_effective_omega": plan.effective_omega.cos,
-        "alpha": solution.alpha,
-        "beta": solution.beta,
+        "alpha": alpha,
+        "beta": beta,
         "compat_bound": epsilon**plan.n,
         "max_diagonal": max_diagonal,
         "forbidden_probabilities": diagonal,

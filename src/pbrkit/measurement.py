@@ -16,7 +16,6 @@ past that boundary the closed form for cos(beta) exceeds 1.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,21 +28,6 @@ BOUNDARY_TOL = 1e-12
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]])
 _SIGNS = np.kron(_H, _H)  # the Hadamard sign pattern H (x) H
-
-
-@dataclass(frozen=True)
-class MeasurementSolution:
-    """Phases nulling the diagonal of M C, plus the feasibility verdict.
-
-    ``cos_beta_raw`` is the unclamped closed-form value, a little above 1
-    in the clamped band; past the boundary the solve is infeasible and
-    ``beta``/``alpha`` are None.
-    """
-
-    beta: float | None
-    alpha: float | None
-    feasible: bool
-    cos_beta_raw: float
 
 
 def build_C(omega: OverlapAngle) -> np.ndarray:
@@ -94,28 +78,25 @@ def cos_beta_raw(cos_omega):
     return (c * c + c - 1.0) / ((1.0 - c) * np.sqrt(1.0 - c * c))
 
 
-def solve_measurement(omega: OverlapAngle) -> MeasurementSolution:
-    """Solve the zero-diagonal condition for both phases.
+def solve_measurement(omega: OverlapAngle) -> tuple[float, float] | None:
+    """Solve the zero-diagonal condition for both phases: (alpha, beta), or
+    None where ``within_boundary`` rejects cos(omega) and no real beta exists.
 
-    Feasibility is decided from cos(omega) against the boundary before any
-    formula is evaluated; the raw closed-form cos(beta) is reported either
-    way so callers can trace the curve past its +1 crossing.  On the
-    feasible range beta is the principal arccos of the clamped value, and
-    the condition rearranges to
+    Feasibility is decided from cos(omega) before any formula is evaluated.
+    On the feasible range beta is the principal arccos of ``cos_beta_raw``
+    clamped onto [-1, 1], and the condition rearranges to
 
         e^{i alpha} = -(tan^2(w/2) e^{2 i beta} + 2 tan(w/2) e^{i beta}) ,
 
     whose right side has unit modulus at that beta; alpha is its principal
     argument in (-pi, pi].
     """
-    feasible = within_boundary(omega.cos)
-    raw = float(cos_beta_raw(omega.cos))
-    beta = alpha = None
-    if feasible:
-        beta = math.acos(min(1.0, max(-1.0, raw)))
-        t = omega.tan_half
-        alpha = cmath.phase(-(t * t) * cmath.exp(2j * beta) - 2.0 * t * cmath.exp(1j * beta))
-    return MeasurementSolution(beta=beta, alpha=alpha, feasible=feasible, cos_beta_raw=raw)
+    if not within_boundary(omega.cos):
+        return None
+    beta = math.acos(min(1.0, max(-1.0, float(cos_beta_raw(omega.cos)))))
+    t = omega.tan_half
+    alpha = cmath.phase(-(t * t) * cmath.exp(2j * beta) - 2.0 * t * cmath.exp(1j * beta))
+    return alpha, beta
 
 
 def diagonal_residual(omega: OverlapAngle, alpha: float, beta: float) -> complex:

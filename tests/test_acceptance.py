@@ -24,6 +24,7 @@ from pbrkit import (
     reduce_pair,
     sample_outcomes,
     solve_measurement,
+    within_boundary,
 )
 from pbrkit import cli
 from pbrkit.reduction import alt_log_bound_raw
@@ -52,14 +53,15 @@ def _gate(number, label, limit_s, body):
 
 def test_acceptance_1_feasibility_boundary():
     def body(check):
-        at_boundary = solve_measurement(OverlapAngle(cos=BOUNDARY)).cos_beta_raw
+        at_boundary = cos_beta_raw(BOUNDARY)
         check(abs(at_boundary - 1.0) <= 1e-12, f"cos_beta({BOUNDARY}) = {at_boundary}, not 1")
-        at_zero = solve_measurement(OverlapAngle(cos=0.0)).cos_beta_raw
+        at_zero = cos_beta_raw(0.0)
         check(abs(at_zero + 1.0) <= 1e-12, f"cos_beta(0) = {at_zero}, not -1")
         for c in (0.72, 0.8, 0.9, 0.99):
-            sol = solve_measurement(OverlapAngle(cos=c))
-            check(sol.cos_beta_raw > 1.0, f"raw at {c} is {sol.cos_beta_raw}, expected > 1")
-            check(not sol.feasible, f"{c} reported feasible")
+            raw = cos_beta_raw(c)
+            check(raw > 1.0, f"raw at {c} is {raw}, expected > 1")
+            check(not within_boundary(c), f"{c} reported feasible")
+            check(solve_measurement(OverlapAngle(cos=c)) is None, f"{c} solved past the boundary")
 
     _gate(1, "feasibility boundary", 1.0, body)
 
@@ -79,15 +81,15 @@ def test_acceptance_3_zero_diagonal_construction():
     def body(check):
         for c in np.linspace(0.0, BOUNDARY, 50):
             angle = OverlapAngle(cos=float(c))
-            sol = solve_measurement(angle)
-            check(sol.feasible, f"{c} infeasible inside the boundary")
-            amplitudes = build_M(sol.alpha, sol.beta) @ build_C(angle)
+            phases = solve_measurement(angle)
+            check(phases is not None, f"{c} infeasible inside the boundary")
+            m = build_M(*phases)
+            amplitudes = m @ build_C(angle)
             diag = np.abs(np.diag(amplitudes)).max()
             check(diag <= 1e-10, f"diagonal {diag:.3e} at cos_omega = {c}")
-            m = build_M(sol.alpha, sol.beta)
             residual = np.abs(m.conj().T @ m - np.eye(4)).max()
             check(residual <= 1e-12, f"M residual {residual:.3e} at cos_omega = {c}")
-            sums = outcome_matrix(angle, sol.alpha, sol.beta).sum(axis=0)
+            sums = outcome_matrix(angle, *phases).sum(axis=0)
             check(np.abs(sums - 1.0).max() <= 1e-12, f"column sums off at cos_omega = {c}")
 
     _gate(3, "zero-diagonal construction", 1.0, body)
@@ -142,8 +144,7 @@ def test_acceptance_5_minimal_n_comparison():
 def test_acceptance_6_monte_carlo_statistics():
     def body(check):
         angle = OverlapAngle(cos=0.5)
-        sol = solve_measurement(angle)
-        p = outcome_matrix(angle, sol.alpha, sol.beta)
+        p = outcome_matrix(angle, *solve_measurement(angle))
         for j in (1, 2, 3, 4):
             counts = sample_outcomes(p, j, 100_000, 4242 + j)
             check(counts[j - 1] == 0, f"forbidden outcome fired for preparation {j}")
@@ -152,8 +153,7 @@ def test_acceptance_6_monte_carlo_statistics():
             check(tv < 0.01, f"TV distance {tv:.4f} for preparation {j}")
         # orthogonal case: deterministic anti-diagonal permutation
         orthogonal = OverlapAngle(cos=0.0)
-        sol0 = solve_measurement(orthogonal)
-        p0 = outcome_matrix(orthogonal, sol0.alpha, sol0.beta)
+        p0 = outcome_matrix(orthogonal, *solve_measurement(orthogonal))
         for j, hit in ((1, 4), (2, 3), (3, 2), (4, 1)):
             counts = sample_outcomes(p0, j, 1000, j)
             check(counts[hit - 1] == 1000, f"preparation {j} did not map to outcome {hit}: {counts}")

@@ -521,6 +521,9 @@ REDUCE_PAIRS = [
     (3, [[1, 0], [0, 0], [0, 0]], [[0.8, 0], [0, 0.36], [0.48, 0]],
      "f5cbce3d91c779ba0e51db0702f7adcf764a9ddf64623bfb0481028f6b7d9bb6"),
     (40, *_wide_pair(40), "41bb5e922391a3850ac68de874b3d93dbb12a47c232176d29a2a133fa63f87a6"),
+    # psi's norm deviates by 5e-10, past TOL_NORM, so reduce renormalizes it
+    (3, [[0.48 * (1 + 5e-10), 0], [0, 0.6 * (1 + 5e-10)], [0.64 * (1 + 5e-10), 0]],
+     [[0.6, 0], [0.8, 0], [0, 0]], "9721281bb626a4774fd88e655d60f0e4063674ae71ca91813d716f0324fe61df"),
 ]
 
 
@@ -581,7 +584,7 @@ def test_negative_zero_epsilon_prints_the_bytes_of_zero(capsys):
         assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("dim,psi,phi,digest", REDUCE_PAIRS, ids=["dim3", "dim40"])
+@pytest.mark.parametrize("dim,psi,phi,digest", REDUCE_PAIRS, ids=["dim3", "dim40", "dim3-renormalized"])
 def test_reduce_bytes_pinned(tmp_path, capsys, dim, psi, phi, digest):
     assert cli.main(["reduce", "--in", _write_pair(tmp_path / "pair.json", dim, psi, phi)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -589,10 +592,10 @@ def test_reduce_bytes_pinned(tmp_path, capsys, dim, psi, phi, digest):
 
 def _solved(c, which):
     angle = OverlapAngle(cos=c)
-    sol = solve_measurement(angle)
+    phases = solve_measurement(angle)
     if which == "M":
-        return build_M(sol.alpha, sol.beta)
-    return build_C(angle) if which == "C" else outcome_matrix(angle, sol.alpha, sol.beta)
+        return build_M(*phases)
+    return build_C(angle) if which == "C" else outcome_matrix(angle, *phases)
 
 
 def _basis(dim, c, seed, which):

@@ -24,8 +24,7 @@ from pbrkit import (
 
 def _solved_matrix(cos_omega):
     angle = OverlapAngle(cos=cos_omega)
-    sol = solve_measurement(angle)
-    return outcome_matrix(angle, sol.alpha, sol.beta)
+    return outcome_matrix(angle, *solve_measurement(angle))
 
 
 def test_sample_counts_sum_to_trials():

@@ -18,6 +18,7 @@ from pbrkit import (
     grouping_plan,
     outcome_matrix,
     solve_measurement,
+    within_boundary,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -89,35 +90,29 @@ def test_build_M_always_unitary():
 
 
 def test_solve_beta_at_boundary():
-    sol = solve_measurement(OverlapAngle(cos=ROOT2 / 2))
-    assert sol.feasible
-    assert sol.cos_beta_raw == pytest.approx(1.0, abs=1e-12)
-    assert sol.beta == pytest.approx(0.0, abs=1e-6)
+    assert within_boundary(ROOT2 / 2)
+    assert cos_beta_raw(ROOT2 / 2) == pytest.approx(1.0, abs=1e-12)
+    _, beta = solve_measurement(OverlapAngle(cos=ROOT2 / 2))
+    assert beta == pytest.approx(0.0, abs=1e-6)
 
 
 def test_solve_beta_orthogonal():
-    sol = solve_measurement(OverlapAngle(cos=0.0))
-    assert sol.feasible
-    assert sol.cos_beta_raw == pytest.approx(-1.0, abs=1e-12)
-    assert sol.beta == pytest.approx(math.pi, abs=1e-12)
+    assert within_boundary(0.0)
+    assert cos_beta_raw(0.0) == pytest.approx(-1.0, abs=1e-12)
+    _, beta = solve_measurement(OverlapAngle(cos=0.0))
+    assert beta == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_solve_beta_infeasible():
-    sol = solve_measurement(OverlapAngle(cos=0.8))
-    assert not sol.feasible
-    assert sol.beta is None
-    assert sol.alpha is None
-    assert sol.cos_beta_raw > 1.0
+    assert not within_boundary(0.8)
+    assert solve_measurement(OverlapAngle(cos=0.8)) is None
+    assert cos_beta_raw(0.8) > 1.0
 
 
 def test_solve_beta_frozen_values():
     # frozen from independent evaluation of both closed forms
-    assert solve_measurement(OverlapAngle(cos=0.01)).cos_beta_raw == pytest.approx(
-        -0.9999489885984185, abs=1e-12
-    )
-    assert solve_measurement(OverlapAngle(cos=0.99)).cos_beta_raw == pytest.approx(
-        687.6856569785856, rel=1e-12
-    )
+    assert cos_beta_raw(0.01) == pytest.approx(-0.9999489885984185, abs=1e-12)
+    assert cos_beta_raw(0.99) == pytest.approx(687.6856569785856, rel=1e-12)
 
 
 def test_cos_beta_forms_agree():
@@ -127,32 +122,30 @@ def test_cos_beta_forms_agree():
 
 
 def test_cos_beta_monotone_in_cos_omega():
-    grid = [solve_measurement(OverlapAngle(cos=float(c))).cos_beta_raw
-            for c in np.linspace(0.01, 0.99, 99)]
+    grid = [cos_beta_raw(float(c)) for c in np.linspace(0.01, 0.99, 99)]
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def test_feasibility_matches_raw_magnitude():
     # feasible exactly when the raw cosine is attainable
     for c in np.linspace(0.005, 0.995, 199):
-        sol = solve_measurement(OverlapAngle(cos=float(c)))
-        assert sol.feasible == (abs(sol.cos_beta_raw) <= 1.0 + 1e-12)
-        assert sol.feasible == (c <= FEASIBILITY_BOUNDARY + 1e-12)
+        assert within_boundary(c) == (abs(cos_beta_raw(c)) <= 1.0 + 1e-12)
+        assert within_boundary(c) == (c <= FEASIBILITY_BOUNDARY + 1e-12)
 
 
 def test_solve_alpha_orthogonal_case():
     # t = 1, beta = pi: rhs = -1 + 2 = 1, so alpha = 0
-    sol = solve_measurement(OverlapAngle(cos=0.0))
-    assert sol.beta == math.pi
-    assert sol.alpha == pytest.approx(0.0, abs=1e-12)
+    alpha, beta = solve_measurement(OverlapAngle(cos=0.0))
+    assert beta == math.pi
+    assert alpha == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_alpha_boundary_case():
     # t = sqrt(2) - 1, beta = 0 (the raw cos(beta) clamps to 1): t^2 + 2t = 1
     # exactly, so rhs = -1 and alpha = pi
-    sol = solve_measurement(OverlapAngle(cos=ROOT2 / 2))
-    assert sol.beta == 0.0
-    assert sol.alpha == pytest.approx(math.pi, abs=1e-12)
+    alpha, beta = solve_measurement(OverlapAngle(cos=ROOT2 / 2))
+    assert beta == 0.0
+    assert alpha == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_solve_measurement_unit_phase_modulus():
@@ -177,19 +170,17 @@ def test_solve_measurement_unit_phase_modulus():
     )
     for c in cosines:
         angle = OverlapAngle(cos=c)
-        sol = solve_measurement(angle)
-        assert sol.feasible
-        assert sol.alpha is not None
+        assert within_boundary(c)
+        alpha, beta = solve_measurement(angle)
         t = angle.tan_half
-        rhs = -(t * t) * cmath.exp(2j * sol.beta) - 2.0 * t * cmath.exp(1j * sol.beta)
+        rhs = -(t * t) * cmath.exp(2j * beta) - 2.0 * t * cmath.exp(1j * beta)
         assert abs(abs(rhs) - 1.0) <= 1e-10
-        assert sol.alpha == cmath.phase(rhs)
+        assert alpha == cmath.phase(rhs)
 
 
 def test_diagonal_residual_solved_phases_vanish():
     angle = OverlapAngle(cos=0.5)
-    sol = solve_measurement(angle)
-    assert abs(diagonal_residual(angle, sol.alpha, sol.beta)) <= 1e-10
+    assert abs(diagonal_residual(angle, *solve_measurement(angle))) <= 1e-10
 
 
 def test_diagonal_residual_unit_phases():
@@ -221,8 +212,7 @@ def test_outcome_matrix_columns_stochastic():
 def test_outcome_matrix_zero_diagonal_at_solution():
     for c in (0.0, 0.2, 0.5, ROOT2 / 2):
         angle = OverlapAngle(cos=c)
-        sol = solve_measurement(angle)
-        p = outcome_matrix(angle, sol.alpha, sol.beta)
+        p = outcome_matrix(angle, *solve_measurement(angle))
         assert np.diag(p).max() <= 1e-10
 
 

@@ -1,6 +1,9 @@
 """Tests for the package namespace."""
 
+import importlib.metadata
 import types
+
+import pytest
 
 import pbrkit
 
@@ -15,3 +18,12 @@ def test_public_surface():
     }
     assert len(set(pbrkit.__all__)) == len(pbrkit.__all__)
     assert set(pbrkit.__all__) - {"__version__"} == bound
+
+
+def test_installed_version_is_the_package_version():
+    # pyproject.toml reads the version from pbrkit.__version__
+    try:
+        installed = importlib.metadata.version("pbrkit")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("pbrkit is not installed")
+    assert installed == pbrkit.__version__

@@ -30,6 +30,7 @@ from _reference import (
 from pbrkit import (
     BOUNDARY_TOL,
     FEASIBILITY_BOUNDARY,
+    PROB_FLOOR,
     OverlapAngle,
     build_C,
     build_M,
@@ -109,10 +110,24 @@ def test_half_angles_within_one_ulp(c):
 @given(solvable_cos)
 def test_zero_diagonal_at_solved_phases(c):
     angle = OverlapAngle(cos=c)
-    sol = solve_measurement(angle)
-    assert sol.feasible
-    amplitudes = build_M(sol.alpha, sol.beta) @ build_C(angle)
+    assert within_boundary(c)
+    amplitudes = build_M(*solve_measurement(angle)) @ build_C(angle)
     assert np.abs(np.diag(amplitudes)).max() <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    # densely within 1e-11 of sqrt(2)/2, across both ends of the inclusive band
+    st.floats(FEASIBILITY_BOUNDARY - 1e-11, FEASIBILITY_BOUNDARY + 1e-11),
+    edge_cos,
+))
+def test_solve_answers_exactly_within_boundary(c):
+    angle = OverlapAngle(cos=c)
+    phases = solve_measurement(angle)
+    assert (phases is None) == (not within_boundary(c))
+    if phases is not None:
+        assert np.diag(outcome_matrix(angle, *phases)).max() < PROB_FLOOR
 
 
 @seeded

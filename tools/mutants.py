@@ -138,6 +138,12 @@ MUTANTS = [
         ("tests/test_experiment.py::test_sample_is_the_numpy_multinomial_over_the_support",
          "tests/test_cli.py::test_report_simulate_bytes_pinned"),
     ),
+    Mutant(
+        "solve_measurement solves past the boundary", "pbrkit/measurement.py",
+        "    if not within_boundary(omega.cos):\n        return None\n", "",
+        ("tests/test_cli.py::test_solve_infeasible",
+         "tests/test_properties.py::test_solve_answers_exactly_within_boundary"),
+    ),
 ]
 
 
