@@ -26,7 +26,7 @@ from .experiment import contradiction_report, render_report, sample_outcomes
 from .linalg import TOL_NORM
 from .measurement import build_C, build_M, cos_beta_raw, outcome_matrix, solve_measurement, within_boundary
 from .reduction import device_counts, grouping_plan
-from .states import OverlapAngle, reduce_pair
+from .states import OverlapAngle, reduce_pair, state_norm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -331,8 +331,7 @@ def _load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_norm(name: str, vec: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # entries past ~1.3e154 give norm inf, not a warning
-        norm = float(np.linalg.norm(vec))
+    norm = state_norm(vec)
     dev = abs(norm - 1.0)
     if not dev <= RENORM_LIMIT:  # NaN fails this too
         raise ToolkitError(f"{name} norm deviates by {dev:.3e}, beyond {RENORM_LIMIT:g}")
@@ -431,15 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built by the first main() call and reused by every later one; parsing
-# keeps no state in the parser between calls.
-_PARSER = None
+# Every main() call parses with this one parser, which keeps no state between calls.
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     # An argv that opens with a command name goes straight to that command's

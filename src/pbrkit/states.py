@@ -76,6 +76,12 @@ class SymmetricPair:
     phase_applied: float
 
 
+def state_norm(vec: np.ndarray) -> float:
+    """The 2-norm of ``vec``; entries past ~1.3e154 give inf, not a warning."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(vec))
+
+
 def reduce_pair(psi, phi) -> SymmetricPair:
     """Reduce an arbitrary-dimension normalized pair to canonical form.
 
@@ -93,9 +99,7 @@ def reduce_pair(psi, phi) -> SymmetricPair:
         raise ToolkitError(f"states must have equal length, got {psi.shape} and {phi.shape}")
     if psi.size < 2:
         raise ToolkitError(f"states must have dim >= 2, got dim {psi.size}")
-    with np.errstate(over="ignore"):  # entries past ~1.3e154 give norm inf, not a warning
-        norms = {"psi": np.linalg.norm(psi), "phi": np.linalg.norm(phi)}
-    for name, norm in norms.items():
+    for name, norm in (("psi", state_norm(psi)), ("phi", state_norm(phi))):
         if not abs(norm - 1.0) <= TOL_NORM:  # NaN fails this too
             raise ToolkitError(f"{name} is not normalized (norm {norm!r})")
 

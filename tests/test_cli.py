@@ -10,7 +10,6 @@ import math
 import os
 import subprocess
 import sys
-import textwrap
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -516,6 +515,8 @@ SOLVE_DIGESTS = [
     ("0.3", "48a9794ef2f92cf99ebd577b6229dd30d232720a6f97aef5feee4a92a4a42d69"),
     (repr(ROOT2 / 2), "218f9ce50c18ba227e0f61ad2e0ab7cbbf82cbf39b52e355003576a6bb71e12a"),
     ("0.9", "f9f066af3e314c4644d76dc504793ca678316ab5cf377a1a815753c81f11f4eb"),
+    # cos_beta_raw is -1.0000000000000002 here: beta = pi only through the clamp
+    ("1e-08", "57d8cd03068d25b4b8e30a217ca90d8bf73b4b51aaed30c93a46998714fd771f"),
 ]
 REDUCE_PAIRS = [
     (3, [[1, 0], [0, 0], [0, 0]], [[0.8, 0], [0, 0.36], [0.48, 0]],
@@ -768,28 +769,10 @@ def test_main_reused_parser_matches_fresh_parser(monkeypatch, capsys, calls):
 
     fresh = []
     for argv in calls:
-        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
         fresh.append(run(argv))
-    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
     assert [run(argv) for argv in calls] == fresh
-
-
-def test_main_builds_parser_once(monkeypatch, capsys):
-    build_parser = cli.build_parser
-    assert build_parser() is not build_parser()
-    builds = []
-
-    def counting_build_parser():
-        builds.append(None)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    monkeypatch.setattr(cli, "_PARSER", None)
-    for calls in REUSE_SEQUENCES.values():
-        for argv in calls:
-            cli.main(argv)
-    capsys.readouterr()
-    assert len(builds) == 1
 
 
 def test_main_dispatches_to_rebound_command(monkeypatch, capsys):
@@ -860,9 +843,21 @@ def _outcome(capsys, argv):
 @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "no-argument")
 def test_dispatch_matches_full_parser(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
-    dispatched = _outcome(capsys, argv)  # builds the parser if no call has yet
+    dispatched = _outcome(capsys, argv)
     monkeypatch.setattr(cli._PARSER, "commands", {})  # every argv now takes the full parser
     assert _outcome(capsys, argv) == dispatched
+
+
+def test_main_never_builds_a_parser(monkeypatch, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+
+    def no_build():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_build)
+    for argv in DISPATCH_ARGVS:
+        cli.main(argv)
+    capsys.readouterr()
 
 
 def test_command_call_skips_the_full_parser(monkeypatch, capsys, tmp_path):
@@ -890,27 +885,6 @@ def test_command_call_skips_the_full_parser(monkeypatch, capsys, tmp_path):
     cli.main(["sol", "--cos-omega", "0.5"])
     assert len(calls) == 1
     capsys.readouterr()
-
-
-def test_import_builds_no_parser():
-    code = textwrap.dedent(
-        """
-        import argparse
-        built = []
-        init = argparse.ArgumentParser.__init__
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-        argparse.ArgumentParser.__init__ = counting_init
-        import pbrkit.cli
-        print(len(built), pbrkit.cli._PARSER)
-        """
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=_subprocess_env(), timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == b"0 None\n"
 
 
 # Unbuffered, the write in main fails; buffered, the flush on the way out does.

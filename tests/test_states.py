@@ -112,14 +112,14 @@ def test_reduce_pair_dim_mismatch():
 
 
 def test_reduce_pair_unnormalized_rejected():
-    with pytest.raises(ToolkitError, match="psi is not normalized"):
+    with pytest.raises(ToolkitError, match=r"^psi is not normalized \(norm 1\.4142135623730951\)$"):
         reduce_pair(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_reduce_pair_non_finite_rejected(bad):
     # a NaN norm deviation compares false against any limit
-    with pytest.raises(ToolkitError, match="psi is not normalized"):
+    with pytest.raises(ToolkitError, match=rf"^psi is not normalized \(norm {bad}\)$"):
         reduce_pair(np.array([bad, 0.0]), np.array([0.6, 0.8]))
 
 
@@ -128,7 +128,7 @@ def test_reduce_pair_overflowing_norm_rejected(name):
     # the squared norm overflows to inf: a ToolkitError, not numpy's RuntimeWarning
     states = {"psi": np.array([0.6, 0.8]), "phi": np.array([0.8, 0.6])}
     states[name] = np.array([1e200, 0.0])
-    with pytest.raises(ToolkitError, match=f"{name} is not normalized"):
+    with pytest.raises(ToolkitError, match=rf"^{name} is not normalized \(norm inf\)$"):
         reduce_pair(states["psi"], states["phi"])
 
 

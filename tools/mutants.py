@@ -144,6 +144,24 @@ MUTANTS = [
         ("tests/test_cli.py::test_solve_infeasible",
          "tests/test_properties.py::test_solve_answers_exactly_within_boundary"),
     ),
+    Mutant(
+        "solve_measurement drops the lower clamp", "pbrkit/measurement.py",
+        "min(1.0, max(-1.0, float(cos_beta_raw(omega.cos))))", "min(1.0, float(cos_beta_raw(omega.cos)))",
+        ("tests/test_properties.py::test_solve_answers_exactly_within_boundary",
+         "tests/test_cli.py::test_solve_bytes_pinned[1e-08-57d8cd03068d25b4b8e30a217ca90d8bf73b4b51aaed30c93a46998714fd771f]"),
+    ),
+    Mutant(
+        "state_norm drops np.errstate", "pbrkit/states.py",
+        '    with np.errstate(over="ignore"):\n        return float(np.linalg.norm(vec))\n',
+        "    return float(np.linalg.norm(vec))\n",
+        ("tests/test_cli.py::test_reduce_rejects_overflowing_norm",
+         "tests/test_states.py::test_reduce_pair_overflowing_norm_rejected"),
+    ),
+    Mutant(
+        "main builds a parser per call", "pbrkit/cli.py",
+        "_PARSER.commands.get(argv[0]) if argv", "build_parser().commands.get(argv[0]) if argv",
+        ("tests/test_cli.py::test_main_never_builds_a_parser",),
+    ),
 ]
 
 
