@@ -97,28 +97,7 @@ def _format_matrix(name: str, m: np.ndarray) -> str:
 # Figure rows are computed and encoded this many at a time: the encoder's
 # arrays for one block are the largest allocations of fig1/fig2, and memory
 # does not grow with the resolution.
-ENCODE_ROWS = 1024
-
-# A float is laid out in at most this many characters; the longest %.17g of
-# a double, "-2.2250738585072014e-308", fills it.
-_FIELD = 24
-# Row k keeps the first k columns of a field.
-_PREFIX = np.arange(_FIELD) < np.arange(_FIELD + 1)[:, None]
-
-
-def _fixed_layout(exponent: int, negative: bool) -> list:
-    """Fixed-notation %.17g of a value with decimal exponent ``exponent`` (-4..15),
-    as indices into the rows of _digit_chars: its 17 digits, then '-', '.', '0'."""
-    head = [17] if negative else []
-    if exponent < 0:
-        body = [19, 18] + [19] * (-exponent - 1) + list(range(17))
-    else:
-        body = list(range(exponent + 1)) + [18] + list(range(exponent + 1, 17))
-    return (head + body + [19] * _FIELD)[:_FIELD]
-
-
-# Row 2 * (exponent + 4) + negative is the layout of that class.
-_LAYOUTS = np.array([_fixed_layout(x, neg) for x in range(-4, 16) for neg in (False, True)])
+ENCODE_ROWS = 2048
 
 # 10**k for k = 0..20, each an exact double, and Veltkamp's split of each into
 # two halves of at most 26 significant bits.
@@ -132,113 +111,145 @@ _POW10_LO = _POW10 - _POW10_HI
 _DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1] + [float(10**k) for k in range(16)])
 
 
-def _significand(a: np.ndarray):
-    """The decimal exponent X of each ``a`` in [1e-4, 1e16), and its 17 significant
-    digits: the integer rint(a * 10**(16 - X)) in [1e16, 1e17), ties to even.
+def _significand(values: np.ndarray):
+    """Which of ``values`` have modulus in [1e-4, 1e16), and there the decimal
+    exponent X of each (int8) and its 17 significant digits: the integer
+    rint(|x| * 10**(16 - X)) in [1e16, 1e17), ties to even.
 
     Dekker's product gives a * 10**(16 - X) exactly as p + e, p the rounded
     product.  There p is an even integer >= 2**53, so rint(e) rounds a tie to
     even, as %.17g does.  The product never rounds up to 10**17: the largest
     double below each power of ten in this range scales to under 10**17 - 8.
     """
-    exponent = np.searchsorted(_DECADES, a, side="right") - 5
-    b, b_hi, b_lo = _POW10[16 - exponent], _POW10_HI[16 - exponent], _POW10_LO[16 - exponent]
-    p = a * b
-    c = a * 134217729.0  # Veltkamp's split, 2**27 + 1
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return exponent, p.astype(np.int64) + np.rint(e).astype(np.int64)
+    a = np.abs(values)
+    exact = (a >= 1e-4) & (a < 1e16)
+    a[~exact] = 1.0
+    scale = np.searchsorted(_DECADES, a, side="right")
+    np.subtract(21, scale, out=scale)  # 16 - X
+    p = _POW10.take(scale)
+    p *= a
+    a_hi = a * 134217729.0  # Veltkamp's split, 2**27 + 1
+    a_lo = a_hi - a
+    a_hi -= a_lo
+    np.subtract(a, a_hi, out=a_lo)
+    b_hi, b_lo = _POW10_HI.take(scale), _POW10_LO.take(scale)
+    # e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo, in place
+    e = np.multiply(a_hi, b_hi, out=a)
+    e -= p
+    for x, y in ((a_hi, b_lo), (b_hi, a_lo), (a_lo, b_lo)):
+        e += np.multiply(x, y, out=x)
+    del a_hi, a_lo, b_hi, b_lo, x, y  # freed before the integer arrays are made
+    digits = p.astype(np.int64)
+    digits += np.rint(e, out=e).astype(np.int64)
+    return exact, np.subtract(16, scale, out=scale).astype(np.int8), digits
 
 
-_DIV6 = np.array([10.0**k for k in range(5, -1, -1)], np.float32)[:, None]
 _SEVENTEEN = np.arange(17, dtype=np.uint8)[:, None]
 
 
 def _digit_chars(digits: np.ndarray) -> np.ndarray:
-    """Rows 0..16: the characters of the 17 digits of each of ``digits``; rows
-    17..19: '-', '.', '0'."""
-    n = len(digits)
-    # Three 6-digit groups, each exact in float32, where floor and subtraction
-    # give the digits exactly; the first of the 18 is always 0.
-    groups = np.empty((3, 1, n), np.float32)
-    groups[0, 0] = digits // 10**12
-    groups[1, 0] = digits // 10**6 % 10**6
-    groups[2, 0] = digits % 10**6
-    q = groups / _DIV6
-    np.floor(q, out=q)
-    q[:, 1:] -= 10 * q[:, :-1]
-    chars = np.empty((20, n), np.uint8)
-    np.add(q.reshape(18, n)[1:], 48, out=chars[:17], casting="unsafe")
-    chars[17:] = np.frombuffer(b"-.0", np.uint8)[:, None]
-    return chars
+    """Row k: the character of digit k of the 17 digits of each of ``digits``,
+    which is overwritten."""
+    chars = np.empty((18, len(digits)), np.uint8)
+    q = np.empty((6, len(digits)), np.float32)
+    # Three 6-digit groups, low to high, each exact in float32, where floor and
+    # subtraction give its digits; the first of the 18 characters is always '0'.
+    for row in (12, 6, 0):
+        high = digits // 10**6
+        digits -= high * 10**6
+        q[5] = digits
+        for k in range(5):  # row by row: a broadcast division allocates ufunc buffers
+            np.divide(q[5], 10.0 ** (5 - k), out=q[k])
+        digits = high
+        np.floor(q, out=q)
+        q[3:] -= 10 * q[2:5]
+        q[1:3] -= 10 * q[:2]
+        chars[row:row + 6] = q
+    chars += ord("0")
+    return chars[1:]
+
+
+def _place(region: np.ndarray, rows, chars: np.ndarray, exponent: int, negative: int) -> None:
+    """Write into ``region[rows]`` the fixed-notation %.17g of values with decimal
+    exponent ``exponent`` (-4..15) and 17 digits ``chars``, NUL past the last kept."""
+    prefix = b"-"[:negative] + (b"0." + b"0" * (-exponent - 1) if exponent < 0 else b"")
+    for k, char in enumerate(prefix):  # a column at a time is the fastest constant fill
+        region[rows, k] = char
+    at = len(prefix)
+    if exponent < 0:
+        region[rows, at:at + 17] = chars.T
+    else:
+        dot = at + exponent + 1
+        region[rows, at:dot] = (chars[:exponent + 1] | ord("0")).T  # integer digits are never trimmed
+        region[rows, dot] = np.minimum(chars[exponent + 1], ord("."))  # '.' only before a kept digit
+        region[rows, dot + 1:dot + 17 - exponent] = chars[exponent + 1:].T
 
 
 def _float_field(values: np.ndarray):
-    """``"%.17g" % v`` of each float of ``values``, left-aligned in the rows of a
-    uint8 matrix as wide as the longest; the matrix and the lengths.
-
-    Values with modulus in [1e-4, 1e16) are encoded from their significand in
-    fixed notation.  Every other value (zero, exponent form, inf, nan) takes
-    Python's ``%``.
-    """
-    a = np.abs(values)
-    exact = (a >= 1e-4) & (a < 1e16)
-    exponent, digits = _significand(np.where(exact, a, 1.0))
+    """``"%.17g" % v`` of each float of ``values`` as a field of _csv_rows: the
+    width of the longest, and a function that writes the texts into a region
+    that wide.  Values with modulus in [1e-4, 1e16) are laid out from their
+    significand in fixed notation; others (zero, exponent form, inf, nan) take
+    Python's ``%``."""
+    exact, exponent, digits = _significand(values)
+    texts = [(r, ("%.17g" % values[r]).encode("ascii")) for r in np.flatnonzero(~exact).tolist()]
+    # Class 2 (X + 4) + negative has one layout; class 40 is the rows that take %.
+    cls = np.where(exact, 2 * (exponent + 4) + (values < 0), 40)
     chars = _digit_chars(digits)
-    negative = values < 0
-    last = (_SEVENTEEN * (chars[:17] != ord("0"))).max(axis=0)  # last nonzero digit
-    fraction = np.maximum(last - exponent, 0)
-    lengths = negative + np.maximum(exponent, 0) + 1 + (fraction > 0) + fraction
-    texts = [(r, ("%.17g" % values[r]).encode("ascii")) for r in np.flatnonzero(~exact)]
-    for r, text in texts:
-        lengths[r] = len(text)
-    layouts = _LAYOUTS[:, :lengths.max()]
-    cls = 2 * (exponent + 4) + negative
-    counts = np.bincount(cls)
-    common = counts.argmax()
-    out = chars.take(layouts[common], axis=0).T
-    for c in np.flatnonzero(counts):
-        if c != common:
-            rows = np.flatnonzero(cls == c)
-            out[rows] = chars.take(layouts[c], axis=0)[:, rows].T
-    for r, text in texts:
-        out[r, :len(text)] = np.frombuffer(text, np.uint8)
-    return out, lengths
+    last = (_SEVENTEEN * (chars != ord("0"))).max(axis=0)
+    chars *= (_SEVENTEEN <= last).view(np.uint8)  # NUL after the last nonzero digit
+    counts = np.bincount(cls, minlength=41)[:40]
+    classes = sorted(np.flatnonzero(counts).tolist(), key=counts.__getitem__, reverse=True)
+    widths = [c % 2 + 18 - min(c // 2 - 4, 0) for c in classes] + [len(t) for _, t in texts]
+
+    def fill(region):
+        # The commonest class fills every row; the other rows are cleared and rewritten.
+        for c in classes:
+            rows = slice(None)
+            if c != classes[0]:
+                rows = np.flatnonzero(cls == c)
+                region[rows] = 0
+            _place(region, rows, chars[:, rows], c // 2 - 4, c % 2)
+        for r, text in texts:
+            region[r] = np.frombuffer(text.ljust(region.shape[1], b"\0"), np.uint8)
+
+    return max(widths), fill
 
 
 def _table_field(values: np.ndarray):
     """``"%d" % v`` of each integer of ``values``, or ``true``/``false`` of each
-    boolean, as _float_field lays them out: each run of equal adjacent values is
+    boolean, as _float_field gives a field: each run of equal adjacent values is
     formatted once, and the rows repeat that table."""
-    ends = np.append(np.flatnonzero(values[1:] != values[:-1]), len(values) - 1)
+    ends = np.flatnonzero(values[1:] != values[:-1]).tolist() + [len(values) - 1]
     if values.dtype == bool:
         texts = [b"true" if v else b"false" for v in values[ends].tolist()]
     else:
         texts = [b"%d" % v for v in values[ends].tolist()]
-    lengths = np.array([len(t) for t in texts])
-    width = lengths.max()
-    table = np.frombuffer(b"".join(t.ljust(width) for t in texts), np.uint8).reshape(-1, width)
-    runs = np.diff(ends, prepend=-1)
-    return table.repeat(runs, axis=0), lengths.repeat(runs)
+    width = max(len(t) for t in texts)
+    table = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint8).reshape(-1, width)
+    runs = [end - before for before, end in zip([-1] + ends, ends)]
+    return width, lambda region: np.copyto(region, table.repeat(runs, axis=0))
 
 
-def _csv_rows(columns) -> np.ndarray:
-    """The CSV lines of ``columns`` as one byte array: a float column as ``%.17g``,
-    an integer column as ``%d``, a boolean one as ``true``/``false``.  Each field
-    takes only as many columns of the character matrix as its longest entry."""
-    fields = [_float_field(col) if col.dtype.kind == "f" else _table_field(col) for col in columns]
-    chars = np.empty((len(columns[0]), sum(field.shape[1] + 1 for field, _ in fields)), np.uint8)
-    keep = np.ones(chars.shape, bool)
+def _csv_rows(columns: list) -> np.ndarray:
+    """The CSV lines of ``columns`` as the rows of a uint8 matrix, NUL after
+    each: a float column as ``%.17g``, an integer column as ``%d``, a boolean
+    one as ``true``/``false``.  The text is the nonzero bytes; each field is as
+    wide as its longest entry.  ``columns`` is emptied as the fields are built,
+    so a column held nowhere else is freed once its field no longer needs it."""
+    n = len(columns[0])
+    fields = []
+    while columns:
+        col = columns.pop(0)
+        fields.append(_float_field(col) if col.dtype.kind == "f" else _table_field(col))
+    rows = np.zeros((n, sum(width + 1 for width, _ in fields)), np.uint8)
     start = 0
-    for field, lengths in fields:
-        end = start + field.shape[1]
-        chars[:, start:end] = field
-        keep[:, start:end] = _PREFIX[:, :end - start].take(lengths, axis=0)
-        chars[:, end] = ord(",")
-        start = end + 1
-    chars[:, -1] = ord("\n")
-    return chars[keep]
+    for width, fill in fields:
+        fill(rows[:, start:start + width])
+        rows[:, start + width] = ord(",")
+        start += width + 1
+    rows[:, -1] = ord("\n")
+    return rows
 
 
 def _write_csv(path: str, header: str, resolution: int, columns) -> None:
@@ -258,7 +269,8 @@ def _write_csv(path: str, header: str, resolution: int, columns) -> None:
             grid = np.arange(start, min(start + ENCODE_ROWS, resolution)) * step + 0.01
             if start + ENCODE_ROWS >= resolution:
                 grid[-1] = 0.99
-            fh.write(_csv_rows(columns(grid)))
+            # One expression, so each block's matrix is freed once its bytes are made.
+            fh.write(_csv_rows(list(columns(grid))).tobytes().replace(b"\0", b""))
 
 
 def cmd_solve(args) -> int:

@@ -37,9 +37,11 @@ class OverlapAngle:
     cos: float
 
     def __post_init__(self):
-        if not (0.0 <= self.cos < 1.0):
-            raise ToolkitError(f"cos(omega) must lie in [0, 1), got {self.cos!r}")
-        object.__setattr__(self, "cos", self.cos + 0.0)  # -0.0 passes the check; make it +0.0
+        if not (0.0 <= self.cos < 1.0):  # a string fails here with a TypeError
+            raise ToolkitError(f"cos(omega) must lie in [0, 1), got {float(self.cos)!r}")
+        # A numpy scalar is kept as a float, whose repr does not depend on the
+        # numpy version; -0.0 passes the check, and + 0.0 makes it +0.0.
+        object.__setattr__(self, "cos", float(self.cos) + 0.0)
 
     @property
     def omega(self) -> float:

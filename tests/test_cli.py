@@ -223,7 +223,7 @@ def test_figure_peak_memory(tmp_path, name):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 0.40e6
+    assert peak <= 0.266e6
 
 
 def test_decades_are_least_doubles_from_powers_of_ten():
@@ -303,11 +303,15 @@ def _csv_blocks(draw):
 def test_csv_rows_match_percent_formatting(block):
     # Values outside the encoded ranges take Python's % inside the same block.
     expected = "".join(",".join(row) + "\n" for row in zip(*(texts for _, texts in block)))
-    assert cli._csv_rows([values for values, _ in block]).tobytes().decode("ascii") == expected
+    rows = cli._csv_rows([values for values, _ in block])
+    assert rows[rows != 0].tobytes().decode("ascii") == expected
 
 
-# 1023, 1024 and 1025 sit around one block of ENCODE_ROWS rows.
-@pytest.mark.parametrize("resolution", [2, 3, 1023, 1024, 1025, 2047, 2049, 20123, 1000003])
+# Resolutions around half a block, one block and two blocks of ENCODE_ROWS rows.
+_BLOCK_EDGES = [k * cli.ENCODE_ROWS // 2 + d for k in (1, 2, 4) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("resolution", [2, 3, *_BLOCK_EDGES, 20123, 1000003])
 def test_figure_blocks_are_linspace(tmp_path, monkeypatch, resolution):
     blocks, fig1_columns = [], cli._fig1_columns
 

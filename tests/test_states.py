@@ -51,6 +51,16 @@ def test_overlap_angle_rejects(bad):
         OverlapAngle(cos=bad)
 
 
+def test_overlap_angle_takes_a_numpy_scalar_as_a_float():
+    # numpy 2 reprs np.float64(1.5) as "np.float64(1.5)", numpy 1 as "1.5"
+    with pytest.raises(ToolkitError, match=r"cos\(omega\) must lie in \[0, 1\), got 1\.5$"):
+        OverlapAngle(cos=np.float64(1.5))
+    cos = OverlapAngle(cos=np.float64(0.5)).cos
+    assert type(cos) is float and cos == 0.5
+    with pytest.raises(TypeError):
+        OverlapAngle(cos="0.5")
+
+
 def test_overlap_angle_is_keyword_only():
     # an angle passed where the cosine belongs is refused, not read as a cosine
     with pytest.raises(TypeError):

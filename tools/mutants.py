@@ -34,7 +34,7 @@ class Mutant(NamedTuple):
 
 
 NO_OP = Mutant(
-    "no-op", "pbrkit/cli.py", "ENCODE_ROWS = 1024\n", "ENCODE_ROWS = 1024\n",
+    "no-op", "pbrkit/cli.py", "ENCODE_ROWS = 2048\n", "ENCODE_ROWS = 2048\n",
     ("tests/test_cli.py::test_figure_rows_independent_of_block_size",),
 )
 
@@ -65,19 +65,24 @@ MUTANTS = [
     ),
     Mutant(
         "table field one column short", "pbrkit/cli.py",
-        "    return table.repeat(runs, axis=0), lengths.repeat(runs)\n",
-        "    return table[:, :-1].repeat(runs, axis=0), lengths.repeat(runs)\n",
+        "np.copyto(region, table.repeat(runs, axis=0))",
+        "np.copyto(region[:, :-1], table[:, :-1].repeat(runs, axis=0))",
         ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
     ),
     Mutant(
         "float field one column short", "pbrkit/cli.py",
-        "    layouts = _LAYOUTS[:, :lengths.max()]\n",
-        "    layouts = _LAYOUTS[:, :lengths.max() - 1]\n",
+        "[c % 2 + 18 - min(c // 2 - 4, 0) for c in classes]",
+        "[c % 2 + 17 - min(c // 2 - 4, 0) for c in classes]",
         ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
     ),
     Mutant(
         "floor for rint in _significand", "pbrkit/cli.py",
-        "np.rint(e)", "np.floor(e)",
+        "np.rint(e, out=e)", "np.floor(e, out=e)",
+        ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
+    ),
+    Mutant(
+        "one trailing zero left in place", "pbrkit/cli.py",
+        "(_SEVENTEEN <= last)", "(_SEVENTEEN <= last + 1)",
         ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
     ),
     Mutant(
@@ -88,8 +93,8 @@ MUTANTS = [
     ),
     Mutant(
         "_table_field drops its last run", "pbrkit/cli.py",
-        "np.append(np.flatnonzero(values[1:] != values[:-1]), len(values) - 1)",
-        "np.flatnonzero(values[1:] != values[:-1])",
+        "np.flatnonzero(values[1:] != values[:-1]).tolist() + [len(values) - 1]",
+        "np.flatnonzero(values[1:] != values[:-1]).tolist()",
         ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
     ),
     Mutant(
