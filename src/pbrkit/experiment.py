@@ -25,6 +25,10 @@ PROB_FLOOR = 1e-12
 MAX_TRIALS = 2**63 - 1
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def sample_outcomes(p: np.ndarray, preparation: int, trials: int, seed: int) -> tuple[int, int, int, int]:
     """Draw the four outcome counts of one preparation in one multinomial draw.
 
@@ -33,14 +37,19 @@ def sample_outcomes(p: np.ndarray, preparation: int, trials: int, seed: int) -> 
     sampled with numpy's PCG64 ``Generator.multinomial`` seeded with
     ``seed`` (>= 0); every other outcome counts 0 by construction.  Time and
     memory do not grow with ``trials`` (1 to MAX_TRIALS), and identical
-    inputs give identical counts, returned as a tuple of ints.
+    inputs give identical counts, returned as a tuple of ints.  ``preparation``,
+    ``trials`` and ``seed`` are ints or numpy integers; a bool is neither here.
     """
-    if preparation not in (1, 2, 3, 4):
+    if not (_is_integer(preparation) and preparation in (1, 2, 3, 4)):
         raise ToolkitError(f"preparation must be in 1..4, got {preparation}")
+    if not _is_integer(trials):
+        raise ToolkitError(f"trials must be an integer, got {trials}")
     if trials < 1:
         raise ToolkitError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise ToolkitError(f"trials must be <= 2**63 - 1, got {trials}")
+    if not _is_integer(seed):
+        raise ToolkitError(f"seed must be an integer, got {seed}")
     if seed < 0:
         raise ToolkitError(f"seed must be >= 0, got {seed}")
     column = p[:, preparation - 1].tolist()

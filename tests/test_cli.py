@@ -11,16 +11,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pbrkit import cli
+from pbrkit import cli, figures
 from pbrkit.measurement import (
     FEASIBILITY_BOUNDARY,
     build_C,
@@ -189,16 +188,16 @@ def test_figure_rows_independent_of_block_size(tmp_path, monkeypatch, name):
     assert cli.main([name, "--resolution", "1001", "--out", str(whole)]) == 0
     # one-row blocks, where each count and flag column is a table of one run
     for encode_rows in (1, 3, 7, 1001):
-        monkeypatch.setattr(cli, "ENCODE_ROWS", encode_rows)
+        monkeypatch.setattr(figures, "ENCODE_ROWS", encode_rows)
         assert cli.main([name, "--resolution", "1001", "--out", str(blocked)]) == 0
         assert whole.read_bytes() == blocked.read_bytes()
 
 
 # With blocks of 7 rows, block ends fall on count steps.
-@pytest.mark.parametrize("encode_rows", [cli.ENCODE_ROWS, 7])
+@pytest.mark.parametrize("encode_rows", [figures.ENCODE_ROWS, 7])
 @pytest.mark.parametrize("resolution", [2, 3, 2049, 20000])
 def test_fig2_counts_equal_one_overlap_calls(tmp_path, monkeypatch, resolution, encode_rows):
-    monkeypatch.setattr(cli, "ENCODE_ROWS", encode_rows)
+    monkeypatch.setattr(figures, "ENCODE_ROWS", encode_rows)
     out = tmp_path / "fig2.csv"
     assert cli.main(["fig2", "--resolution", str(resolution), "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -226,103 +225,22 @@ def test_figure_peak_memory(tmp_path, name):
     assert peak <= 0.266e6
 
 
-def test_decades_are_least_doubles_from_powers_of_ten():
-    for k, x in zip(range(-4, 16), cli._DECADES.tolist()):
-        assert Fraction(x) >= Fraction(10)**k > Fraction(math.nextafter(x, 0.0))
-
-
-def _powers_of_ten_ladder(k, steps):
-    """10**k moved ``steps`` doubles up (steps > 0) or down (steps < 0)."""
-    x = 10.0**k
-    for _ in range(abs(steps)):
-        x = math.nextafter(x, math.copysign(math.inf, steps))
-    return x
-
-
-_signs = st.sampled_from([1.0, -1.0])
-CSV_FLOATS = st.one_of(
-    # every binade from 2**-20 (1e-6) to 2**60 (1e18), both signs
-    st.builds(lambda m, e, s: s * math.ldexp(m, e),
-              st.floats(1.0, 2.0, exclude_max=True), st.integers(-20, 60), _signs),
-    # dyadic k / 2**j; an odd k over 2**j (j <= 4) past 1e11 makes 17-digit ties
-    st.builds(lambda k, j, s: s * k / 2**j, st.integers(1, 2**53), st.integers(0, 60), _signs),
-    st.builds(lambda m, j: (2 * m + 1) / 2**j, st.integers(10**11, 2**52 - 1), st.integers(1, 4)),
-    # powers of ten and their neighbours, where the decimal exponent changes
-    st.builds(lambda k, n, s: s * _powers_of_ten_ladder(k, n), st.integers(-6, 18), st.integers(-3, 3), _signs),
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
-                     1.7976931348623157e308, -1.7976931348623157e308]),
-)
-CSV_INTS = st.one_of(
-    st.integers(-10**4, 10**4),
-    st.integers(-2**63, 2**63 - 1),
-    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 10**16 - 1, 10**16, -2**63, 2**63 - 1]),
-)
-
-
-def _texts(kind, values):
-    """The array an encoder column holds, and Python's text of each entry."""
-    if kind == "f":
-        return np.array(values, float), ["%.17g" % v for v in values]
-    if kind == "i":
-        return np.array(values, np.int64), ["%d" % v for v in values]
-    return np.array(values, bool), ["true" if v else "false" for v in values]
-
-
-@st.composite
-def _csv_blocks(draw):
-    """The columns of one encoder sub-block: half the time a float, an integer, a
-    boolean and a float column, as fig1/fig2 mix them; otherwise one to five
-    columns of any kinds, so blocks of booleans only and of integers only occur."""
-    n = draw(st.integers(1, 40))
-    kinds = draw(st.one_of(st.just("fibf"), st.text("fib", min_size=1, max_size=5)))
-    ints = st.one_of(
-        st.lists(CSV_INTS, min_size=n, max_size=n),
-        CSV_INTS.map(lambda v: [v] * n),  # one repeated value
-        st.lists(CSV_INTS, min_size=n, max_size=n, unique=True),  # all distinct
-        st.lists(st.integers(0, 9), min_size=n, max_size=n),  # the widest is 1 character
-    )
-    element = {"f": st.lists(CSV_FLOATS, min_size=n, max_size=n), "i": ints,
-               "b": st.lists(st.booleans(), min_size=n, max_size=n)}
-    return [_texts(kind, draw(element[kind])) for kind in kinds]
-
-
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(_csv_blocks())
-# Each field is as wide as its longest entry in the block: the narrowest cases,
-# a table of one value, a one-character widest integer and booleans only.
-@example([_texts("b", [True, True, True])])
-@example([_texts("b", [False, False, False]), _texts("b", [True, False, True])])
-@example([_texts("i", [7] * 5), _texts("i", [0, 3, 9, 1, 0])])
-@example([_texts("i", [-2**63] * 3), _texts("i", [2**63 - 1, -2**63, 0])])
-@example([_texts("i", [5]), _texts("f", [0.5]), _texts("b", [True]), _texts("i", [-1])])
-# Runs of one value apart, and a one-row block: a table merging equal values
-# across runs, or one dropping the last run, puts the wrong text in a row or
-# leaves a row out.  0.1's 17th digit is rounded up, so floor for rint fails.
-@example([_texts("i", [1, 2, 1]), _texts("b", [True, False, True])])
-@example([_texts("i", [3]), _texts("f", [0.1]), _texts("b", [False])])
-def test_csv_rows_match_percent_formatting(block):
-    # Values outside the encoded ranges take Python's % inside the same block.
-    expected = "".join(",".join(row) + "\n" for row in zip(*(texts for _, texts in block)))
-    rows = cli._csv_rows([values for values, _ in block])
-    assert rows[rows != 0].tobytes().decode("ascii") == expected
-
-
 # Resolutions around half a block, one block and two blocks of ENCODE_ROWS rows.
-_BLOCK_EDGES = [k * cli.ENCODE_ROWS // 2 + d for k in (1, 2, 4) for d in (-1, 0, 1)]
+_BLOCK_EDGES = [k * figures.ENCODE_ROWS // 2 + d for k in (1, 2, 4) for d in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("resolution", [2, 3, *_BLOCK_EDGES, 20123, 1000003])
 def test_figure_blocks_are_linspace(tmp_path, monkeypatch, resolution):
-    blocks, fig1_columns = [], cli._fig1_columns
+    blocks, fig1_columns = [], figures._fig1_columns
 
     def columns(grid):
         blocks.append(grid.copy())
         return fig1_columns(grid)
 
-    monkeypatch.setattr(cli, "_fig1_columns", columns)
+    monkeypatch.setattr(figures, "_fig1_columns", columns)
     out = tmp_path / "fig1.csv"
     assert cli.main(["fig1", "--resolution", str(resolution), "--out", str(out)]) == 0
-    assert max(block.size for block in blocks) <= cli.ENCODE_ROWS
+    assert max(block.size for block in blocks) <= figures.ENCODE_ROWS
     expected = np.linspace(0.01, 0.99, resolution).tobytes()
     assert np.concatenate(blocks).tobytes() == expected
     # %.17g round-trips a double, so the CSV's first column holds the same bits

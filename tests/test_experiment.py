@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,29 @@ def test_sample_rejects_bad_trials():
     # numpy's own seeding raises a bare ValueError here
     with pytest.raises(ToolkitError, match="seed must be >= 0, got -1"):
         sample_outcomes(_solved_matrix(0.5), 1, 10, -1)
+
+
+# Unchecked, a preparation of 1.0 reached numpy's indexing (IndexError) and True
+# sampled preparation 1; 10.5 trials drew 10; a seed of 1.5 raised numpy's TypeError.
+NON_INTEGERS = {
+    "preparation-1.0": ((1.0, 10, 0), "preparation must be in 1..4, got 1.0"),
+    "preparation-True": ((True, 10, 0), "preparation must be in 1..4, got True"),
+    "trials-10.5": ((1, 10.5, 0), "trials must be an integer, got 10.5"),
+    "trials-True": ((1, True, 0), "trials must be an integer, got True"),
+    "seed-1.5": ((1, 10, 1.5), "seed must be an integer, got 1.5"),
+    "seed-True": ((1, 10, True), "seed must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("args,message", NON_INTEGERS.values(), ids=NON_INTEGERS)
+def test_sample_rejects_a_non_integer(args, message):
+    with pytest.raises(ToolkitError, match=f"^{re.escape(message)}$"):
+        sample_outcomes(_solved_matrix(0.5), *args)
+
+
+def test_sample_takes_numpy_integers():
+    p = _solved_matrix(0.5)
+    assert sample_outcomes(p, np.int64(3), np.uint32(5000), np.int16(4)) == sample_outcomes(p, 3, 5000, 4)
 
 
 @st.composite

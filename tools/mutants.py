@@ -34,7 +34,7 @@ class Mutant(NamedTuple):
 
 
 NO_OP = Mutant(
-    "no-op", "pbrkit/cli.py", "ENCODE_ROWS = 2048\n", "ENCODE_ROWS = 2048\n",
+    "no-op", "pbrkit/figures.py", "ENCODE_ROWS = 2048\n", "ENCODE_ROWS = 2048\n",
     ("tests/test_cli.py::test_figure_rows_independent_of_block_size",),
 )
 
@@ -64,26 +64,26 @@ MUTANTS = [
         ("tests/test_cli.py::test_format_matrix_is_array2string",),
     ),
     Mutant(
-        "table field one column short", "pbrkit/cli.py",
+        "table field one column short", "pbrkit/figures.py",
         "np.copyto(region, table.repeat(runs, axis=0))",
         "np.copyto(region[:, :-1], table[:, :-1].repeat(runs, axis=0))",
-        ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
+        ("tests/test_figures.py::test_csv_rows_match_percent_formatting",),
     ),
     Mutant(
-        "float field one column short", "pbrkit/cli.py",
+        "float field one column short", "pbrkit/figures.py",
         "[c % 2 + 18 - min(c // 2 - 4, 0) for c in classes]",
         "[c % 2 + 17 - min(c // 2 - 4, 0) for c in classes]",
-        ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
+        ("tests/test_figures.py::test_csv_rows_match_percent_formatting",),
     ),
     Mutant(
-        "floor for rint in _significand", "pbrkit/cli.py",
+        "floor for rint in _significand", "pbrkit/figures.py",
         "np.rint(e, out=e)", "np.floor(e, out=e)",
-        ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
+        ("tests/test_figures.py::test_csv_rows_match_percent_formatting",),
     ),
     Mutant(
-        "one trailing zero left in place", "pbrkit/cli.py",
+        "one trailing zero left in place", "pbrkit/figures.py",
         "(_SEVENTEEN <= last)", "(_SEVENTEEN <= last + 1)",
-        ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
+        ("tests/test_figures.py::test_csv_rows_match_percent_formatting",),
     ),
     Mutant(
         "tan(omega/2) without its square root", "pbrkit/states.py",
@@ -92,13 +92,13 @@ MUTANTS = [
         ("tests/test_properties.py::test_half_angles_within_one_ulp",),
     ),
     Mutant(
-        "_table_field drops its last run", "pbrkit/cli.py",
+        "_table_field drops its last run", "pbrkit/figures.py",
         "np.flatnonzero(values[1:] != values[:-1]).tolist() + [len(values) - 1]",
         "np.flatnonzero(values[1:] != values[:-1]).tolist()",
-        ("tests/test_cli.py::test_csv_rows_match_percent_formatting",),
+        ("tests/test_figures.py::test_csv_rows_match_percent_formatting",),
     ),
     Mutant(
-        "the grid's last point not set to 0.99", "pbrkit/cli.py",
+        "the grid's last point not set to 0.99", "pbrkit/figures.py",
         "                grid[-1] = 0.99\n", "                pass\n",
         ("tests/test_cli.py::test_figure_blocks_are_linspace",),
     ),
@@ -122,6 +122,11 @@ MUTANTS = [
         '    if seed < 0:\n        raise ToolkitError(f"seed must be >= 0, got {seed}")\n', "",
         ("tests/test_experiment.py::test_sample_rejects_bad_trials",
          "tests/test_cli.py::test_simulate_negative_seed"),
+    ),
+    Mutant(
+        "sample_outcomes without its trials type check", "pbrkit/experiment.py",
+        '    if not _is_integer(trials):\n        raise ToolkitError(f"trials must be an integer, got {trials}")\n', "",
+        ("tests/test_experiment.py::test_sample_rejects_a_non_integer[trials-10.5]",),
     ),
     Mutant(
         "main returns EXIT_USAGE for a DegeneratePair", "pbrkit/cli.py",
